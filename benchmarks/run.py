@@ -1,15 +1,20 @@
 """Benchmark of `xkmeans run` on three generated workloads.
 
-    python3 benchmarks/run.py --workload outlier_wide --seed 0 --seconds 30 --trace 0
+    python3 benchmarks/run.py --workload outlier_wide --seed 0 --seconds 40 --trace 0
 
 Set-up generates the workload's CSV from the seed with `xkmeans.synth`,
-writes it under .bench_work/, and warms the interpreter; it runs three times
+writes it under .bench_work/, and warms the interpreter; it runs five times
 and `setup_s` is the median. The measurement then repeats one fresh
 `xkmeans run` process at a time (a closed loop with one client) for as
 many repetitions as fit in `--seconds`, at least two, and checks every
-repetition's outputs. The seed goes to the generator and to `--seed`. BLAS and OpenMP
-run one thread in every process, and `--jobs` is capped so that jobs times
-BLAS threads never exceeds the CPUs this process may use.
+repetition's outputs. `run_s` is the slowest repetition of the window:
+a core of the shared host runs at one speed most of the time and, in
+spells of seconds to minutes, up to 40% faster, so the median or mean of a
+window moves with how many repetitions fall in a spell, while the slowest
+one, run at the usual speed, stays put. The seed goes to the generator and
+to `--seed`. BLAS and OpenMP run one thread in every process, and `--jobs`
+is capped so that jobs times BLAS threads never exceeds the CPUs this
+process may use.
 
 With `--trace 1` the run instead makes one untraced and one traced
 repetition (spans from benchmarks/tracer.py), checks that both write the
@@ -52,7 +57,7 @@ THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-SETUPS = 3
+SETUPS = 5
 MIN_REPS = 2
 DEADLINE_S = 170.0  # a run must end within 180 s
 
@@ -194,11 +199,21 @@ def mark_divergent(reps: list[Rep]) -> None:
             rep.problems.append("outputs differ from the first repetition")
 
 
+def summary(name: str, values: list[float]) -> float:
+    """The value reported for a metric: the slowest repetition for run_s
+    (see the module docstring), the median for every other metric."""
+    return max(values) if name == "run_s" else statistics.median(values)
+
+
 def describe(name: str, values: list[float], unit: str) -> str:
-    """Median and sample count, plus the highest percentile that has ten
-    samples beyond it once there are more than 20 samples."""
+    """Reported value and sample count (with the median, for run_s), plus
+    the highest percentile that has ten samples beyond it once there are
+    more than 20 samples."""
     n = len(values)
-    text = f"{name:<30} {statistics.median(values):.6g} {unit} (median of {n}"
+    if name == "run_s":
+        text = f"{name:<30} {max(values):.6g} {unit} (slowest of {n}; median {statistics.median(values):.6g} {unit}"
+    else:
+        text = f"{name:<30} {statistics.median(values):.6g} {unit} (median of {n}"
     if n > 20:
         text += f"; p{100 * (n - 10) // n} {sorted(values)[n - 11]:.6g} {unit}"
     return text + ")"
@@ -260,7 +275,7 @@ def main(argv=None) -> int:
     for metric in wanted:
         values = samples.get(metric["name"]) or [float("nan")]  # missing after a failure
         print(describe(metric["name"], values, metric["unit"]))
-        metrics[metric["name"]] = {"value": statistics.median(values), "unit": metric["unit"]}
+        metrics[metric["name"]] = {"value": summary(metric["name"], values), "unit": metric["unit"]}
     print(f"{'failed_frac':<30} {failed / len(reps):.6g} ({failed} of {len(reps)} repetitions)")
     print(json.dumps({
         "correct": failed == 0 and not problems,

@@ -19,6 +19,9 @@ where it does little:
   split_leaf calls, the expansion's selection loop, kd best-first selection
   and 1500-leaf scoring and export dominate. Budgets 500 and 1500 rebuild
   the same prefix, and at k' = n the tree must reproduce the reference.
+  BENCHMARK.json does not list it, so it runs only by hand: its thousands
+  of small interpreted steps slow and speed up with the shared host far
+  more than the other two workloads do.
 
 Sizes are chosen so that one repetition takes a few seconds (outlier_wide
 about 16 s), which lets a run of the benchmark take several repetitions.
