@@ -7,12 +7,16 @@ which becomes the leaf's label. Points already separated from their center
 higher up ride along for leaf membership but cannot be separated again, so
 they are excluded from the mistake counts below that node.
 
-A (point, center) pair is separated by threshold t exactly when t lies in
-[min(p_i, c_i), max(p_i, c_i)), so per feature the mistake counts for every
-candidate fall out of comparing both pair endpoints against the candidate
-values at once. Candidate thresholds are the distinct point and center
-coordinate values inside [min center coord, max center coord); restricting
-to center coordinates alone can miss splits with strictly fewer mistakes.
+A (point, center) pair is separated by threshold t exactly when
+lo <= t < hi, with lo = min(p_i, c_i) and hi = max(p_i, c_i). Hence the
+mistake count at t is #{lo <= t} - #{hi <= t}: two prefix counts over the
+sorted endpoints, read for every candidate with `searchsorted` (Dasgupta,
+Frost, Moshkovitz & Rashtchian, ICML 2020, section 3). Candidate thresholds
+are the distinct point and center coordinate values inside
+[min center coord, max center coord); restricting to center coordinates
+alone can miss splits with strictly fewer mistakes. A node with m points
+costs O(d m log m) time, and O(m) extra memory, since features are handled
+one at a time.
 """
 
 from __future__ import annotations
@@ -61,65 +65,46 @@ def best_mistake_split(
     """
     if state.center_ids.size < 2:
         raise ValueError("node must contain at least two centers")
-    pts = X.points[state.point_ids]
-    labs = reference.labels[state.point_ids]
+    ids = state.point_ids
+    labs = reference.labels[ids]
     elig = np.isin(labs, state.center_ids)
-    epts = pts[elig]
-    ecenters = M.centers[labs[elig]]
-    m = pts.shape[0]
+    elig_labs = labs[elig]
     cvals = M.centers[state.center_ids]
     cmin = cvals.min(axis=0)
     cmax = cvals.max(axis=0)
 
-    # transposed copies so the per-feature loop reads contiguous rows; a pair
-    # is separated by theta exactly when theta falls in [min(p, c), max(p, c))
-    pts_t = np.ascontiguousarray(pts.T)
-    have_elig = epts.shape[0] > 0
-    if have_elig:
-        epts_t = np.ascontiguousarray(epts.T)
-        ecen_t = np.ascontiguousarray(ecenters.T)
-
-    features = np.flatnonzero(cmin < cmax)
-
-    def candidates_for(f):
-        col_c = cvals[:, f]
-        in_window = col_c[(col_c >= cmin[f]) & (col_c < cmax[f])]
-        col = pts_t[f]
-        window_pts = col[(col >= cmin[f]) & (col < cmax[f])]
-        return np.unique(np.concatenate([window_pts, in_window]))
-
-    def mistake_counts(f, cand):
-        if not have_elig:
-            return np.zeros(cand.size, dtype=np.int64)
-        sep = (epts_t[f][:, None] <= cand) != (ecen_t[f][:, None] <= cand)
-        return sep.sum(axis=0)
-
     best = None  # (mistakes, feature, theta) over two-sided candidates
-    for f in features:
+    fallback = None  # over all candidates; used only when no candidate is two-sided
+    for f in np.flatnonzero(cmin < cmax):
         f = int(f)
-        cand = candidates_for(f)
-        if cand.size == 0 or m == 0:
+        col = X.points[ids, f]
+        col_c = cvals[:, f]
+        cand = np.unique(
+            np.concatenate(
+                [
+                    col[(col >= cmin[f]) & (col < cmax[f])],
+                    col_c[(col_c >= cmin[f]) & (col_c < cmax[f])],
+                ]
+            )
+        )
+        p = col[elig]
+        c = M.centers[elig_labs, f]
+        lo = np.minimum(p, c)
+        hi = np.maximum(p, c)
+        lo.sort()
+        hi.sort()
+        counts = np.searchsorted(lo, cand, "right") - np.searchsorted(hi, cand, "right")
+        j = int(np.argmin(counts))
+        if fallback is None or counts[j] < fallback[0]:
+            fallback = (int(counts[j]), f, float(cand[j]))
+        if ids.size == 0:
             continue
-        left_counts = (pts_t[f][:, None] <= cand).sum(axis=0)
-        two_sided = np.flatnonzero((left_counts > 0) & (left_counts < m))
-        if two_sided.size == 0:
-            continue
-        counts = mistake_counts(f, cand)
-        j = two_sided[int(np.argmin(counts[two_sided]))]
-        if best is None or counts[j] < best[0]:
-            best = (int(counts[j]), f, float(cand[j]))
-
-    fallback = None  # only consulted when no candidate has points on both sides
-    if best is None:
-        for f in features:
-            f = int(f)
-            cand = candidates_for(f)
-            if cand.size == 0:
-                continue
-            counts = mistake_counts(f, cand)
-            j = int(np.argmin(counts))
-            if fallback is None or counts[j] < fallback[0]:
-                fallback = (int(counts[j]), f, float(cand[j]))
+        # points on both sides exactly when min(col) <= theta < max(col)
+        a, b = np.searchsorted(cand, (col.min(), col.max()))
+        if a < b:
+            j = a + int(np.argmin(counts[a:b]))
+            if best is None or counts[j] < best[0]:
+                best = (int(counts[j]), f, float(cand[j]))
 
     chosen = best if best is not None else fallback
     if chosen is None:

@@ -73,13 +73,16 @@ class ThresholdTree:
         return sum(1 for n in self.nodes if n.is_leaf)
 
     def depth(self) -> int:
-        def rec(i):
-            n = self.nodes[i]
-            if n.is_leaf:
-                return 0
-            return 1 + max(rec(n.left), rec(n.right))
-
-        return rec(self.root)
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            i, depth = stack.pop()
+            node = self.nodes[i]
+            if node.is_leaf:
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        return deepest
 
     def set_leaf_label(self, leaf_id: int, label: int) -> None:
         node = self.nodes[leaf_id]
@@ -200,18 +203,16 @@ class ThresholdTree:
 
     def export_text(self) -> str:
         lines: list[str] = []
-
-        def rec(i, depth):
+        stack = [(self.root, 0)]  # preorder: left subtree printed before right
+        while stack:
+            i, depth = stack.pop()
             node = self.nodes[i]
             pad = "  " * depth
             if node.is_leaf:
                 lines.append(f"{pad}label {node.label}")
             else:
                 lines.append(f"{pad}feature {node.feature} <= {node.threshold!r}")
-                rec(node.left, depth + 1)
-                rec(node.right, depth + 1)
-
-        rec(self.root, 0)
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
         return "\n".join(lines) + "\n"
 
     def export_dot(self) -> str:
@@ -246,25 +247,63 @@ class ThresholdTree:
 
     @classmethod
     def from_json(cls, text: str, data: DataMatrix | None = None) -> "ThresholdTree":
+        """Load a tree written by `to_json`.
+
+        Raises ValueError unless every node is reachable from node 0 exactly
+        once, every feature and child index is an in-range integer, every
+        threshold is a finite number, and every label is an integer (or null,
+        for an unlabeled leaf).
+        """
         payload = json.loads(text)
-        raw = payload["nodes"]
-        if not raw:
+        raw = payload.get("nodes") if isinstance(payload, dict) else None
+        if not isinstance(raw, list) or not raw:
             raise ValueError("tree JSON has no nodes")
         tree = cls._empty()
         tree._data = data
-        for entry in raw:
-            if "label" in entry:
-                tree.nodes.append(Node(label=entry["label"]))
-            else:
-                tree.nodes.append(
-                    Node(
-                        feature=int(entry["feature"]),
-                        threshold=float(entry["threshold"]),
-                        left=int(entry["left"]),
-                        right=int(entry["right"]),
+        for i, entry in enumerate(raw):
+            try:
+                if "label" in entry:
+                    node = Node(label=_json_int(entry["label"], allow_null=True))
+                else:
+                    threshold = entry["threshold"]
+                    if isinstance(threshold, bool) or not np.isfinite(threshold):
+                        raise ValueError(f"threshold {threshold!r} is not a finite number")
+                    node = Node(
+                        feature=_json_int(entry["feature"]),
+                        threshold=float(threshold),
+                        left=_json_int(entry["left"]),
+                        right=_json_int(entry["right"]),
                     )
-                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"tree JSON node {i} is malformed: {exc!r}") from None
+            tree.nodes.append(node)
+
+        seen = [False] * len(tree.nodes)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            node = tree.nodes[stack.pop()]
+            if node.is_leaf:
+                continue
+            for child in (node.left, node.right):
+                if child >= len(tree.nodes) or seen[child]:
+                    raise ValueError(
+                        f"tree JSON child {child} is out of range or reached twice"
+                    )
+                seen[child] = True
+                stack.append(child)
+        if not all(seen):
+            raise ValueError(f"tree JSON node {seen.index(False)} is unreachable from node 0")
         return tree
+
+
+def _json_int(value, allow_null: bool = False) -> int | None:
+    """A non-negative JSON integer (bools and floats are rejected)."""
+    if value is None and allow_null:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

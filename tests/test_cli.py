@@ -266,6 +266,22 @@ def test_explain_dimension_mismatch_exit_code(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [{"feature": 0, "threshold": 0.5, "left": 1, "right": 7}, {"label": 0}, {"label": 1}],
+        [{"feature": 0, "threshold": 0.5, "right": 2}, {"label": 0}, {"label": 1}],
+        [{"feature": 0, "threshold": 0.5, "left": 0, "right": 2}, {"label": 0}, {"label": 1}],
+    ],
+    ids=["child_out_of_range", "missing_left", "cycle"],
+)
+def test_explain_malformed_tree_exit_code(tmp_path, capsys, nodes):
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(json.dumps({"nodes": nodes}))
+    code = main(["explain", "--tree", str(tree_file), "--point", "0.0"])
+    assert code == 1
+    assert "tree JSON" in capsys.readouterr().err
+
 def test_console_script_runs_are_reproducible(tmp_path):
     import subprocess
     import sys

@@ -1,12 +1,21 @@
+from functools import partial
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost
+from xkmeans import imm
+from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost, load_csv
 from xkmeans.imm import ImmNodeState, best_mistake_split, build_imm, count_mistakes
 from xkmeans.kmeans import KMeansConfig, fit_reference
-from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_ii
+from xkmeans.synth import (
+    SyntheticIISpec,
+    gen_gaussian_blobs,
+    gen_synthetic_i,
+    gen_synthetic_ii,
+)
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
 TWO_CENTERS = CenterSet([[0.0, 0.5], [4.0, 0.5]])
@@ -40,6 +49,76 @@ def brute_best_split(points, labels, centers, center_ids):
             if best is None or mistakes < best[0]:
                 best = (mistakes, f, theta)
     return best
+
+
+def dense_best_mistake_split(X, M, reference, state):
+    """Reference implementation: per feature, a dense (points x candidates)
+    boolean matrix of separated pairs, then a second pass over all
+    candidates when no split is two-sided."""
+    if state.center_ids.size < 2:
+        raise ValueError("node must contain at least two centers")
+    pts = X.points[state.point_ids]
+    labs = reference.labels[state.point_ids]
+    elig = np.isin(labs, state.center_ids)
+    epts = pts[elig]
+    ecenters = M.centers[labs[elig]]
+    m = pts.shape[0]
+    cvals = M.centers[state.center_ids]
+    cmin = cvals.min(axis=0)
+    cmax = cvals.max(axis=0)
+    pts_t = np.ascontiguousarray(pts.T)
+    have_elig = epts.shape[0] > 0
+    if have_elig:
+        epts_t = np.ascontiguousarray(epts.T)
+        ecen_t = np.ascontiguousarray(ecenters.T)
+
+    features = np.flatnonzero(cmin < cmax)
+
+    def candidates_for(f):
+        col_c = cvals[:, f]
+        in_window = col_c[(col_c >= cmin[f]) & (col_c < cmax[f])]
+        col = pts_t[f]
+        window_pts = col[(col >= cmin[f]) & (col < cmax[f])]
+        return np.unique(np.concatenate([window_pts, in_window]))
+
+    def mistake_counts(f, cand):
+        if not have_elig:
+            return np.zeros(cand.size, dtype=np.int64)
+        sep = (epts_t[f][:, None] <= cand) != (ecen_t[f][:, None] <= cand)
+        return sep.sum(axis=0)
+
+    best = None
+    for f in features:
+        f = int(f)
+        cand = candidates_for(f)
+        if cand.size == 0 or m == 0:
+            continue
+        left_counts = (pts_t[f][:, None] <= cand).sum(axis=0)
+        two_sided = np.flatnonzero((left_counts > 0) & (left_counts < m))
+        if two_sided.size == 0:
+            continue
+        counts = mistake_counts(f, cand)
+        j = two_sided[int(np.argmin(counts[two_sided]))]
+        if best is None or counts[j] < best[0]:
+            best = (int(counts[j]), f, float(cand[j]))
+
+    fallback = None
+    if best is None:
+        for f in features:
+            f = int(f)
+            cand = candidates_for(f)
+            if cand.size == 0:
+                continue
+            counts = mistake_counts(f, cand)
+            j = int(np.argmin(counts))
+            if fallback is None or counts[j] < fallback[0]:
+                fallback = (int(counts[j]), f, float(cand[j]))
+
+    chosen = best if best is not None else fallback
+    if chosen is None:
+        raise ValueError("centers are identical on every feature; no split exists")
+    mistakes, feature, theta = chosen
+    return feature, theta, mistakes
 
 
 def nearest_assignment(X, M):
@@ -243,3 +322,62 @@ def test_build_invariants_on_tie_heavy_integer_data(n, d, k, seed):
     assert sorted(tree.node(i).label for i in tree.leaf_ids()) == list(range(k))
     ids = np.concatenate([tree.node(i).point_ids for i in tree.leaf_ids()])
     assert np.array_equal(np.sort(ids), np.arange(n))
+
+
+def fitted(X, k, seed=0):
+    ref = fit_reference(X, KMeansConfig(k=k, n_init=1, seed=seed))
+    return X, ref.centers, ref.assignment
+
+
+def blobs_instance(k, seed):
+    X, _ = gen_gaussian_blobs(k, 8000, 10, separation=1.5, seed=seed)
+    return fitted(X, k, seed)
+
+
+ORACLE_INSTANCES = {
+    **{f"blobs_k4_s{s}": partial(blobs_instance, 4, s) for s in range(4)},
+    "blobs_k8": partial(blobs_instance, 8, 0),
+    "codeword": lambda: gen_synthetic_ii(SyntheticIISpec(k=5, d=400, seed=0)),
+    "iris": lambda: fitted(load_csv(files("xkmeans").joinpath("data/iris.csv")), 3),
+    "outlier": lambda: fitted(gen_synthetic_i(seed=0, n=1000, d=200), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+def test_build_imm_json_matches_dense_oracle(name, monkeypatch):
+    X, M, ref = ORACLE_INSTANCES[name]()
+    fast = build_imm(X, M, ref).to_json()
+    monkeypatch.setattr(imm, "best_mistake_split", dense_best_mistake_split)
+    assert build_imm(X, M, ref).to_json() == fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.integers(2, 5),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_split_matches_dense_oracle_on_tie_heavy_grids(n, d, k, identical, seed):
+    # identical points leave no two-sided candidate (the fallback path);
+    # small integer grids make thresholds coincide with pair endpoints, so
+    # searchsorted's side at ties decides the counts
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    if identical:
+        pts[:] = pts[0]
+    centers = rng.integers(-3, 4, size=(k, d)).astype(float)
+    assume(np.unique(centers, axis=0).shape[0] == k)
+    X, M = DataMatrix(pts), CenterSet(centers)
+    ref = Assignment(rng.integers(0, k, size=n))
+    point_ids = np.flatnonzero(rng.random(n) < 0.8)
+    center_ids = np.sort(rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False))
+    state = ImmNodeState(point_ids, center_ids)
+    try:
+        want = dense_best_mistake_split(X, M, ref, state)
+    except ValueError:
+        with pytest.raises(ValueError):
+            best_mistake_split(X, M, ref, state)
+        return
+    assert best_mistake_split(X, M, ref, state) == want

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,45 @@ class TestExport:
 def test_from_json_rejects_empty_node_list():
     with pytest.raises(ValueError):
         ThresholdTree.from_json('{"nodes": []}')
+
+
+SPLIT = {"feature": 0, "threshold": 0.5, "left": 1, "right": 2}
+LEAVES = [{"label": 0}, {"label": 1}]
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [{**SPLIT, "right": 3}, *LEAVES],
+        [{k: v for k, v in SPLIT.items() if k != "left"}, *LEAVES],
+        [{**SPLIT, "left": 0}, *LEAVES],
+        [SPLIT, *LEAVES, {"label": 2}],
+        [SPLIT, {"label": 0.5}, {"label": 1}],
+        [SPLIT, {"label": "a"}, {"label": 1}],
+        [{**SPLIT, "threshold": float("nan")}, *LEAVES],
+        [{**SPLIT, "threshold": True}, *LEAVES],
+    ],
+    ids=["child_out_of_range", "missing_left", "cycle", "unreachable",
+         "float_label", "string_label", "nan_threshold", "bool_threshold"],
+)
+def test_from_json_rejects_malformed_trees(nodes):
+    with pytest.raises(ValueError):
+        ThresholdTree.from_json(json.dumps({"nodes": nodes}))
+
+
+def test_deep_chain_walks_without_recursion():
+    # k' = n on sorted 1-D data: every split peels off the lowest point
+    n = 3000
+    tree = ThresholdTree(DataMatrix(np.arange(float(n))[:, None]))
+    leaf = tree.root
+    for i in range(n - 1):
+        _, leaf = tree.split_leaf(leaf, 0, float(i), i, None)
+    tree.set_leaf_label(leaf, n - 1)
+    assert tree.leaf_count == n
+    assert tree.depth() == n - 1
+    lines = []
+    for i in range(n - 1):
+        lines += ["  " * i + f"feature 0 <= {float(i)!r}", "  " * (i + 1) + f"label {i}"]
+    lines.append("  " * (n - 1) + f"label {n - 1}")
+    assert tree.export_text() == "\n".join(lines) + "\n"
+    assert ThresholdTree.from_json(tree.to_json()).to_json() == tree.to_json()
