@@ -35,6 +35,6 @@ from xkmeans.synth import (
     gen_synthetic_i,
     gen_synthetic_ii,
 )
-from xkmeans.tree import ThresholdTree, TreeClustering
+from xkmeans.tree import ThresholdTree
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center
-from xkmeans.tree import ThresholdTree, TreeClustering
+from xkmeans.tree import ThresholdTree
 
 __all__ = ["build_kdtree", "build_gini_tree"]
 
@@ -36,12 +36,12 @@ def _kd_split(points: np.ndarray) -> tuple[int, float] | None:
     return feature, theta
 
 
-def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> TreeClustering:
-    """Grow best-first by leaf population, then label each leaf with its
-    cheapest reference center."""
+def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
+    """Grow best-first by leaf population, labeling each cell with its
+    cheapest reference center as it is made."""
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    tree = ThresholdTree(X)
+    tree = ThresholdTree(X, root_label=best_center(X, np.arange(X.n), M)[0])
     splittable: dict[int, tuple[int, float]] = {}
     split = _kd_split(X.points)
     if split is not None:
@@ -52,14 +52,12 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> TreeClustering
         feature, theta = splittable.pop(leaf)
         left, right = tree.split_leaf(leaf, feature, theta, None, None)
         for child in (left, right):
-            child_split = _kd_split(X.points[tree.node(child).point_ids])
+            ids = tree.node(child).point_ids
+            tree.set_leaf_label(child, best_center(X, ids, M)[0])
+            child_split = _kd_split(X.points[ids])
             if child_split is not None:
                 splittable[child] = child_split
-
-    for leaf in tree.leaf_ids():
-        label, _ = best_center(X, tree.node(leaf).point_ids, M)
-        tree.set_leaf_label(leaf, label)
-    return TreeClustering(tree, tree.induced_assignment())
+    return tree
 
 
 def _gini_of_counts(counts: np.ndarray, total: int) -> float:
@@ -105,7 +103,7 @@ def _majority(labels: np.ndarray, n_labels: int) -> int:
     return int(np.argmax(np.bincount(labels, minlength=n_labels)))
 
 
-def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> TreeClustering:
+def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> ThresholdTree:
     """Best-first classification tree on the reference labels: at each step
     split the frontier leaf with the largest count-weighted gini decrease."""
     if max_leaves < 1:
@@ -131,5 +129,4 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Tr
             child_split = _gini_split(X.points[ids], labels[ids], n_labels)
             if child_split is not None:
                 frontier[child] = child_split
-
-    return TreeClustering(tree, tree.induced_assignment())
+    return tree

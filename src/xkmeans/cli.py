@@ -1,8 +1,9 @@
 """Experiment runner and command-line surface.
 
 `run` fits one reference clustering per configuration, builds every
-requested method at every leaf budget, and writes a results.csv plus a
-trace file per expansion run and JSON/DOT exports per tree. `explain`
+requested method once at the largest leaf budget, reads each smaller
+budget's tree off that build as a prefix, and writes a results.csv plus a
+trace file per expansion budget and JSON/DOT exports per tree. `explain`
 prints the root-to-leaf decision path of a point through an exported tree.
 """
 
@@ -35,7 +36,8 @@ RESULT_COLUMNS = (
     "surrogate_cost",
     "cost_ratio",
     "accuracy",
-    "wall_time_ms",
+    "leaves",
+    "wall_time_ms",  # last: benchmarks/check.py drops it before digesting
 )
 
 
@@ -62,8 +64,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of a csv path or a synthetic spec is required")
         if not self.budgets:
             self.budgets = [self.k * m for m in (1, 2, 3, 4)]
-        if sorted(self.budgets) != self.budgets:
-            raise ValueError("leaf budgets must be sorted ascending")
+        if self.budgets[0] < 1 or any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
+            raise ValueError("leaf budgets must be at least 1 and strictly ascending")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {', '.join(unknown)}; choose from {', '.join(METHODS)}")
@@ -106,12 +108,14 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
     raise ValueError(f"unknown synthetic dataset {name!r}; choose synthetic1, synthetic2, or blobs")
 
 
-def _leaf_partition(tree: ThresholdTree) -> list[np.ndarray]:
-    return [tree.node(i).point_ids for i in tree.leaf_ids()]
-
-
-def _score(X, tree, reference, assignment) -> CostReport:
-    cells = _leaf_partition(tree)
+def _score(X, tree, reference) -> CostReport:
+    """Costs of a tree's clustering; cells come from routing, so a tree
+    needs no build-time cell membership to be scored."""
+    assignment = tree.induced_assignment(X)
+    leaf = tree.leaf_of_points(X)
+    order = np.argsort(leaf, kind="stable")
+    sizes = np.bincount(leaf, minlength=len(tree.nodes))[tree.leaf_ids()]
+    cells = np.split(order, np.cumsum(sizes)[:-1])
     return CostReport.build(
         kmeans_cost=kmeans_cost(X, assignment),
         surrogate_cost=surrogate_cost(X, cells, reference.centers),
@@ -138,6 +142,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "surrogate_cost": reference.cost,
             "cost_ratio": 1.0,
             "accuracy": 1.0,
+            "leaves": config.k,
             "wall_time_ms": 0.0,
         }
     ]
@@ -150,33 +155,35 @@ def run_experiment(config: ExperimentConfig) -> dict:
         imm_base = build_imm(X, reference.centers, reference.assignment)
         base_ms = (time.perf_counter() - base_started) * 1000.0
 
+    largest = config.budgets[-1]
     for method in config.methods:
-        for budget in config.budgets:
-            started = time.perf_counter()
-            trace = None
-            if method == "imm":
-                tree = imm_base
-            elif method == "exkmc_imm":
-                if budget < imm_base.leaf_count:
-                    raise ValueError(
-                        f"budget {budget} is below the base tree's {imm_base.leaf_count} leaves"
-                    )
-                result = expand(X, reference.centers, imm_base, budget, jobs=config.jobs)
-                tree, trace = result.tree, result.trace
-            elif method == "exkmc":
-                result = expand(X, reference.centers, root_tree(X, reference.centers), budget, jobs=config.jobs)
-                tree, trace = result.tree, result.trace
-            elif method == "kdtree":
-                tree = build_kdtree(X, reference.centers, budget).tree
-            else:  # gini_tree
-                tree = build_gini_tree(X, reference.assignment, budget).tree
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if method in ("imm", "exkmc_imm"):
-                # the shared base build is part of these methods' construction
-                elapsed_ms += base_ms
+        started = time.perf_counter()
+        trace, base_leaves = None, 1
+        if method == "imm":
+            full = imm_base
+        elif method in ("exkmc", "exkmc_imm"):
+            base = imm_base if method == "exkmc_imm" else root_tree(X, reference.centers)
+            base_leaves = base.leaf_count
+            if config.budgets[0] < base_leaves:
+                raise ValueError(
+                    f"budget {config.budgets[0]} is below the base tree's {base_leaves} leaves"
+                )
+            result = expand(X, reference.centers, base, largest, jobs=config.jobs)
+            full, trace = result.tree, result.trace
+        elif method == "kdtree":
+            full = build_kdtree(X, reference.centers, largest)
+        else:  # gini_tree
+            full = build_gini_tree(X, reference.assignment, largest)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        if method in ("imm", "exkmc_imm"):
+            # the shared base build is part of these methods' construction
+            elapsed_ms += base_ms
 
-            assignment = tree.induced_assignment(X)
-            report = _score(X, tree, reference, assignment)
+        for budget in config.budgets:
+            # greedy growth is prefix-closed: the tree at a smaller budget is
+            # the first splits of the largest build; imm has one k-leaf tree
+            tree = full if method == "imm" else full.prefix(budget)
+            report = _score(X, tree, reference)
             rows.append(
                 {
                     "method": method,
@@ -185,6 +192,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     "surrogate_cost": report.surrogate_cost,
                     "cost_ratio": report.cost_ratio,
                     "accuracy": report.accuracy,
+                    "leaves": report.leaf_count,
                     "wall_time_ms": elapsed_ms,
                 }
             )
@@ -196,8 +204,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             if trace is not None:
                 trace_path = out_dir / f"trace_{stem}.jsonl"
                 with trace_path.open("w") as fh:
-                    for step in trace:
-                        fh.write(json.dumps(step.to_dict()) + "\n")
+                    fh.writelines(json.dumps(s.to_dict()) + "\n" for s in trace[: budget - base_leaves])
                 paths[f"trace_{stem}"] = trace_path
 
     results_path = out_dir / "results.csv"
@@ -206,15 +213,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    row["method"],
-                    row["k_prime"],
-                    repr(float(row["kmeans_cost"])),
-                    repr(float(row["surrogate_cost"])),
-                    repr(float(row["cost_ratio"])),
-                    repr(float(row["accuracy"])),
-                    repr(float(row["wall_time_ms"])),
-                ]
+                [row[c] if c in ("method", "k_prime", "leaves") else repr(float(row[c]))
+                 for c in RESULT_COLUMNS]
             )
     paths["results"] = results_path
     return {"paths": paths, "rows": rows, "reference_cost": reference.cost}

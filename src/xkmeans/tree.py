@@ -3,7 +3,9 @@
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable arena indices (the root is always node 0) and are never reused;
 splitting mutates a leaf into an inner node and appends two children, so the
-greedy construction order is preserved in the arena.
+greedy construction order is preserved in the arena: the tree after its
+first b - 1 splits is the first 2b - 1 nodes. An inner node keeps the label
+it had as a leaf, so such a prefix is read off without relabeling (`prefix`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from xkmeans.core import Assignment, DataMatrix
 
-__all__ = ["Node", "ThresholdTree", "TreeClustering"]
+__all__ = ["Node", "ThresholdTree"]
 
 
 @dataclass
@@ -57,10 +59,6 @@ class ThresholdTree:
         tree._data = self._data
         tree.nodes = [replace(n) for n in self.nodes]
         return tree
-
-    @property
-    def data(self) -> DataMatrix | None:
-        return self._data
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -129,9 +127,22 @@ class ThresholdTree:
         node.threshold = float(threshold)
         node.left = left_id
         node.right = right_id
-        node.label = None
         node.point_ids = None
         return left_id, right_id
+
+    def prefix(self, leaves: int) -> "ThresholdTree":
+        """The tree as it stood with `leaves` leaves (all of it, if it has
+        fewer): a split whose children fall past the cut becomes a leaf again,
+        under its pre-split label. The copy carries no cell membership."""
+        if leaves < 1:
+            raise ValueError("a tree prefix needs at least one leaf")
+        keep = 2 * min(leaves, self.leaf_count) - 1
+        tree = ThresholdTree._empty()
+        tree.nodes = [
+            Node(label=n.label) if n.is_leaf or n.left >= keep else replace(n, point_ids=None)
+            for n in self.nodes[:keep]
+        ]
+        return tree
 
     # -- routing -----------------------------------------------------------
 
@@ -304,11 +315,3 @@ def _json_int(value, allow_null: bool = False) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class TreeClustering:
-    """A threshold tree together with the assignment it induces."""
-
-    tree: ThresholdTree
-    assignment: Assignment

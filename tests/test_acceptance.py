@@ -235,8 +235,8 @@ def test_criterion_7_outlier_dataset_gap():
 
     gini_ratios = {}
     for budget in range(k, 4 * k + 1):
-        clustering = build_gini_tree(X, ref.assignment, budget)
-        gini_ratios[budget] = kmeans_cost(X, clustering.assignment) / ref.cost
+        tree = build_gini_tree(X, ref.assignment, budget)
+        gini_ratios[budget] = kmeans_cost(X, tree.induced_assignment()) / ref.cost
     gini_ok = all(ratio > 2.0 for ratio in gini_ratios.values())
 
     base = build_imm(X, ref.centers, ref.assignment)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xkmeans.cli import (
+    RESULT_COLUMNS,
     ExperimentConfig,
     explain_point,
     main,
@@ -80,7 +81,7 @@ class TestRunExperiment:
         )
         path = run_experiment(config)["paths"]["results"]
         header = Path(path).read_text().splitlines()[0]
-        assert header == "method,k_prime,kmeans_cost,surrogate_cost,cost_ratio,accuracy,wall_time_ms"
+        assert header == "method,k_prime,kmeans_cost,surrogate_cost,cost_ratio,accuracy,leaves,wall_time_ms"
 
     def test_full_budget_matches_reference(self, tmp_path):
         data = tmp_path / "blobs.csv"
@@ -235,6 +236,95 @@ def test_budget_below_base_leaves_fails_cleanly(tmp_path, capsys):
     assert "below the base tree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "leaves, k", [("0,3", "3"), ("3,k", "3")], ids=["below_one", "repeated"]
+)
+def test_bad_budgets_exit_code(tmp_path, capsys, leaves, k):
+    data = tmp_path / "blobs.csv"
+    write_blob_csv(data, k=3)
+    code = main(
+        ["run", "--data", str(data), "--k", k, "--leaves", leaves,
+         "--methods", "imm", "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    assert "leaf budgets must be at least 1 and strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_leaves_column_reports_early_stop(tmp_path):
+    # three distinct points: no tree can have more than three leaves
+    data = tmp_path / "dups.csv"
+    data.write_text("0,0\n0,0\n1,1\n1,1\n5,5\n")
+    code = main(
+        ["run", "--data", str(data), "--k", "2", "--leaves", "2,5",
+         "--methods", "exkmc,exkmc_imm,kdtree", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    rows = read_results(tmp_path / "out" / "results.csv")
+    assert [(r["method"], r["k_prime"], r["leaves"]) for r in rows] == [
+        ("reference", "2", "2"),
+        ("exkmc", "2", "2"),
+        ("exkmc", "5", "3"),
+        ("exkmc_imm", "2", "2"),
+        ("exkmc_imm", "5", "3"),
+        ("kdtree", "2", "2"),
+        ("kdtree", "5", "3"),
+    ]
+
+
+def _run_files(out_dir):
+    return {
+        p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir()) if p.name != "results.csv"
+    }
+
+
+def _rows_without_time(out_dir):
+    return [row[:-1] for row in csv.reader((Path(out_dir) / "results.csv").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("source", ["iris", "blobs"])
+def test_one_build_matches_separate_builds_per_budget(tmp_path, source):
+    if source == "iris":
+        data, k = str(IRIS), 3
+    else:
+        data, k = tmp_path / "blobs.csv", 3
+        write_blob_csv(data, k=k, n=60, d=3, seed=4)
+    budgets = [k, 2 * k, 4 * k]
+    kwargs = dict(k=k, data=str(data), seed=0)
+    run_experiment(ExperimentConfig(budgets=budgets, out=str(tmp_path / "all"), **kwargs))
+    together = _run_files(tmp_path / "all")
+    together_rows = _rows_without_time(tmp_path / "all")
+
+    separate, separate_rows = {}, {}
+    for b in budgets:
+        out = tmp_path / f"k{b}"
+        run_experiment(ExperimentConfig(budgets=[b], out=str(out), **kwargs))
+        separate.update(_run_files(out))
+        for row in _rows_without_time(out)[2:]:
+            separate_rows[(row[0], row[1])] = row
+    assert together == separate
+    assert len(together) == 5 * 2 * len(budgets) + 2 * len(budgets)
+    header, reference, *rest = together_rows
+    assert header == list(RESULT_COLUMNS[:-1])
+    assert reference == _rows_without_time(tmp_path / f"k{k}")[1]
+    assert rest == [separate_rows[(row[0], row[1])] for row in rest]
+    assert sorted(separate_rows) == sorted((r[0], r[1]) for r in rest)
+
+
+def test_prefix_rows_agree_with_trace_costs(tmp_path):
+    # each row is scored by routing the points through its prefix tree; the
+    # last trace step priced the same leaves while the tree was grown
+    config = ExperimentConfig(
+        k=3, data=str(IRIS), budgets=[4, 7, 12], methods=["exkmc", "exkmc_imm"],
+        out=str(tmp_path / "out"), seed=0,
+    )
+    for row in read_results(run_experiment(config)["paths"]["results"])[1:]:
+        lines = (tmp_path / "out" / f"trace_{row['method']}_k{row['k_prime']}.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1])
+        assert float(row["surrogate_cost"]) == pytest.approx(last["surrogate_cost"], rel=1e-9)
+        assert float(row["kmeans_cost"]) == pytest.approx(last["kmeans_cost"], rel=1e-9)
+
+
 def test_column_selection_flag(tmp_path):
     f = tmp_path / "wide.csv"
     f.write_text("\n".join(f"{i},{i*2},{i*3}" for i in range(12)) + "\n")
@@ -283,9 +373,15 @@ def test_explain_malformed_tree_exit_code(tmp_path, capsys, nodes):
     assert "tree JSON" in capsys.readouterr().err
 
 def test_console_script_runs_are_reproducible(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import xkmeans
+
+    # the child imports the same xkmeans as this process, installed or not
+    src = str(Path(xkmeans.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     data = tmp_path / "blobs.csv"
     write_blob_csv(data, k=3, n=36, d=3, seed=11)
     argv = [
@@ -294,7 +390,7 @@ def test_console_script_runs_are_reproducible(tmp_path):
     ]
     for out in ("run_a", "run_b"):
         proc = subprocess.run(
-            argv + ["--out", str(tmp_path / out)], capture_output=True, text=True
+            argv + ["--out", str(tmp_path / out)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -178,6 +178,49 @@ class TestExport:
         )
 
 
+class TestPrefix:
+    def grown_tree(self):
+        # every split keeps its parent's label on the left child
+        tree = ThresholdTree(FOUR_POINTS, root_label=0)
+        _, right = tree.split_leaf(0, 0, 0.0, 0, 1)
+        tree.split_leaf(right, 1, 0.0, 1, 2)
+        return tree
+
+    def test_budget_at_or_above_leaf_count_keeps_whole_tree(self):
+        tree = self.grown_tree()
+        for leaves in (3, 4, 100):
+            cut = tree.prefix(leaves)
+            assert cut.to_json() == tree.to_json()
+            assert cut.export_dot() == tree.export_dot()
+
+    def test_cut_split_becomes_leaf_with_pre_split_label(self):
+        tree = self.grown_tree()
+        two = ThresholdTree(FOUR_POINTS, root_label=0)
+        two.split_leaf(0, 0, 0.0, 0, 1)
+        assert tree.prefix(2).to_json() == two.to_json()
+        assert tree.prefix(2).induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
+        assert tree.prefix(1).to_json() == ThresholdTree(FOUR_POINTS, root_label=0).to_json()
+
+    def test_source_tree_is_left_unmodified(self):
+        tree = self.grown_tree()
+        before = (tree.to_json(), [tree.node(i).point_ids.tolist() for i in tree.leaf_ids()])
+        cut = tree.prefix(2)
+        cut.set_leaf_label(2, 2)
+        after = (tree.to_json(), [tree.node(i).point_ids.tolist() for i in tree.leaf_ids()])
+        assert before == after
+        assert tree.node(2).feature == 1 and tree.node(2).label == 1
+
+    def test_prefix_carries_no_cell_membership(self):
+        cut = self.grown_tree().prefix(2)
+        assert all(node.point_ids is None for node in cut.nodes)
+        with pytest.raises(ValueError):
+            cut.split_leaf(1, 0, 0.0, 0, 1)
+
+    def test_zero_leaves_rejected(self):
+        with pytest.raises(ValueError):
+            self.grown_tree().prefix(0)
+
+
 def test_from_json_rejects_empty_node_list():
     with pytest.raises(ValueError):
         ThresholdTree.from_json('{"nodes": []}')
