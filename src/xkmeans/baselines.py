@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center
-from xkmeans.tree import ThresholdTree
+from xkmeans.tree import ThresholdTree, split_cell
 
 __all__ = ["build_kdtree", "build_gini_tree"]
 
@@ -41,22 +41,23 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     cheapest reference center as it is made."""
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    tree = ThresholdTree(X, root_label=best_center(X, np.arange(X.n), M)[0])
-    splittable: dict[int, tuple[int, float]] = {}
+    tree = ThresholdTree(root_label=best_center(X.points, M)[0])
+    # splittable leaf -> (feature, threshold, its point ids)
+    splittable: dict[int, tuple[int, float, np.ndarray]] = {}
     split = _kd_split(X.points)
     if split is not None:
-        splittable[tree.root] = split
+        splittable[tree.root] = (*split, np.arange(X.n))
 
     while tree.leaf_count < max_leaves and splittable:
-        leaf = max(splittable, key=lambda i: (tree.node(i).point_ids.size, -i))
-        feature, theta = splittable.pop(leaf)
-        left, right = tree.split_leaf(leaf, feature, theta, None, None)
-        for child in (left, right):
-            ids = tree.node(child).point_ids
-            tree.set_leaf_label(child, best_center(X, ids, M)[0])
-            child_split = _kd_split(X.points[ids])
+        leaf = max(splittable, key=lambda i: (splittable[i][2].size, -i))
+        feature, theta, ids = splittable.pop(leaf)
+        children = tree.split_leaf(leaf, feature, theta, None, None)
+        for child, child_ids in zip(children, split_cell(X, ids, feature, theta)):
+            cell = X.points[child_ids]
+            tree.set_leaf_label(child, best_center(cell, M)[0])
+            child_split = _kd_split(cell)
             if child_split is not None:
-                splittable[child] = child_split
+                splittable[child] = (*child_split, child_ids)
     return tree
 
 
@@ -113,20 +114,21 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
     labels = reference.labels
     n_labels = int(labels.max()) + 1 if labels.size else 1
 
-    tree = ThresholdTree(X, root_label=_majority(labels, n_labels))
-    frontier: dict[int, tuple[float, int, float]] = {}
+    tree = ThresholdTree(root_label=_majority(labels, n_labels))
+    # frontier leaf -> (impurity decrease, feature, threshold, its point ids)
+    frontier: dict[int, tuple[float, int, float, np.ndarray]] = {}
     split = _gini_split(X.points, labels, n_labels)
     if split is not None:
-        frontier[tree.root] = split
+        frontier[tree.root] = (*split, np.arange(X.n))
 
     while tree.leaf_count < max_leaves and frontier:
         leaf = max(frontier, key=lambda i: (frontier[i][0], -i))
-        _, feature, theta = frontier.pop(leaf)
-        left, right = tree.split_leaf(leaf, feature, theta, None, None)
-        for child in (left, right):
-            ids = tree.node(child).point_ids
-            tree.set_leaf_label(child, _majority(labels[ids], n_labels))
-            child_split = _gini_split(X.points[ids], labels[ids], n_labels)
+        _, feature, theta, ids = frontier.pop(leaf)
+        children = tree.split_leaf(leaf, feature, theta, None, None)
+        for child, child_ids in zip(children, split_cell(X, ids, feature, theta)):
+            child_labels = labels[child_ids]
+            tree.set_leaf_label(child, _majority(child_labels, n_labels))
+            child_split = _gini_split(X.points[child_ids], child_labels, n_labels)
             if child_split is not None:
-                frontier[child] = child_split
+                frontier[child] = (*child_split, child_ids)
     return tree

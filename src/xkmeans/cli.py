@@ -60,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         if (self.data is None) == (self.synth is None):
             raise ValueError("exactly one of a csv path or a synthetic spec is required")
         if not self.budgets:
@@ -109,16 +111,11 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
 
 
 def _score(X, tree, reference) -> CostReport:
-    """Costs of a tree's clustering; cells come from routing, so a tree
-    needs no build-time cell membership to be scored."""
+    """Costs of a tree's clustering, over the cells that routing X gives."""
     assignment = tree.induced_assignment(X)
-    leaf = tree.leaf_of_points(X)
-    order = np.argsort(leaf, kind="stable")
-    sizes = np.bincount(leaf, minlength=len(tree.nodes))[tree.leaf_ids()]
-    cells = np.split(order, np.cumsum(sizes)[:-1])
     return CostReport.build(
         kmeans_cost=kmeans_cost(X, assignment),
-        surrogate_cost=surrogate_cost(X, cells, reference.centers),
+        surrogate_cost=surrogate_cost(X, list(tree.cells(X).values()), reference.centers),
         leaf_count=tree.leaf_count,
         reference_cost=reference.cost,
         accuracy=accuracy(reference.assignment, assignment),

@@ -3,7 +3,8 @@
 Everything downstream (tree builders, the expansion loop, the benchmark
 runner) is measured through `kmeans_cost` and `surrogate_cost`. The cost of
 a cell against a fixed center uses squared Euclidean distance throughout;
-no other metric is supported.
+no other metric is supported. `best_center` is the one kernel that prices
+a cell against its cheapest fixed center, wherever a cell is priced.
 """
 
 from __future__ import annotations
@@ -191,17 +192,15 @@ def fixed_center_cost(X: DataMatrix, subset, mu) -> float:
     return float(((X.points[ids] - mu) ** 2).sum())
 
 
-def best_center(X: DataMatrix, subset, M: CenterSet) -> tuple[int, float]:
-    """Index and cost of the cheapest fixed center for a cell (tie: lowest index)."""
-    ids = np.asarray(subset, dtype=np.int64)
-    if ids.size == 0:
+def best_center(points, M: CenterSet) -> tuple[int, float]:
+    """Index and cost of the cheapest fixed center for a cell, given as an
+    (m, d) array of its points (tie: lowest index; an empty cell costs 0)."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[0] == 0:
         return 0, 0.0
-    if ids.min() < 0 or ids.max() >= X.n:
-        raise ValueError("point id out of range")
-    pts = X.points[ids]
     costs = np.empty(M.k)
     for j in range(M.k):
-        diff = pts - M.centers[j]
+        diff = points - M.centers[j]
         costs[j] = np.einsum("ij,ij->", diff, diff)
     j = int(np.argmin(costs))
     return j, float(costs[j])
@@ -221,8 +220,7 @@ def surrogate_cost(X: DataMatrix, leaf_partition: Sequence, M: CenterSet) -> flo
         raise ValueError("leaf partition must cover each point id exactly once")
     total = 0.0
     for cell in cells:
-        _, cost = best_center(X, cell, M)
-        total += cost
+        total += best_center(X.points[cell], M)[1]
     return total
 
 

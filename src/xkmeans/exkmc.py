@@ -26,16 +26,13 @@ from typing import Callable
 import numpy as np
 
 from xkmeans.core import CenterSet, DataMatrix, best_center
-from xkmeans.tree import ThresholdTree
+from xkmeans.tree import ThresholdTree, split_cell
 
 __all__ = [
     "SplitCandidate",
     "TraceStep",
     "ExpansionState",
     "ExpandResult",
-    "cell_cost",
-    "find_labels",
-    "split_cost",
     "scan_best_split",
     "root_tree",
     "expand",
@@ -105,47 +102,6 @@ class ExpandResult:
     @property
     def final_surrogate(self) -> float:
         return self.trace[-1].surrogate_cost if self.trace else self.initial_surrogate
-
-
-def cell_cost(points, M: CenterSet) -> float:
-    """Cost of one cell against its single best fixed center."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] == 0:
-        return 0.0
-    best = np.inf
-    for c in M.centers:
-        diff = points - c
-        best = min(best, float(np.einsum("ij,ij->", diff, diff)))
-    return best
-
-
-def _side_costs(points, M: CenterSet, feature: int, threshold: float):
-    points = np.asarray(points, dtype=np.float64)
-    mask = points[:, feature] <= threshold
-    left, right = points[mask], points[~mask]
-    if left.shape[0] == 0 or right.shape[0] == 0:
-        raise ValueError(f"split on feature {feature} at {threshold} leaves a side empty")
-    out = []
-    for side in (left, right):
-        costs = np.empty(M.k)
-        for j, c in enumerate(M.centers):
-            diff = side - c
-            costs[j] = np.einsum("ij,ij->", diff, diff)
-        j = int(np.argmin(costs))
-        out.append((j, float(costs[j])))
-    return out[0][0], out[0][1], out[1][0], out[1][1]
-
-
-def find_labels(points, M: CenterSet, feature: int, threshold: float) -> tuple[int, int]:
-    """Best reference center for each side of a split (tie: lowest index)."""
-    ll, _, rl, _ = _side_costs(points, M, feature, threshold)
-    return ll, rl
-
-
-def split_cost(points, M: CenterSet, feature: int, threshold: float) -> float:
-    """Surrogate cost of the two cells a split produces."""
-    _, lc, _, rc = _side_costs(points, M, feature, threshold)
-    return lc + rc
 
 
 def _block_ranges(d: int, jobs: int) -> list[tuple[int, int]]:
@@ -243,15 +199,13 @@ def scan_best_split(
 
 def root_tree(X: DataMatrix, M: CenterSet) -> ThresholdTree:
     """Single-leaf tree labeled with the best center for the whole dataset."""
-    label, _ = best_center(X, np.arange(X.n), M)
-    return ThresholdTree(X, root_label=label)
+    return ThresholdTree(root_label=best_center(X.points, M)[0])
 
 
 class _ClusterAggregates:
     """Per-cluster count / sum / sum-of-squares, for O(kd) induced-cost updates."""
 
     def __init__(self, pts: np.ndarray, labels: np.ndarray, k: int):
-        self.pts = pts
         self.count = np.bincount(labels, minlength=k).astype(np.int64)
         self.sums = np.zeros((k, pts.shape[1]))
         np.add.at(self.sums, labels, pts)
@@ -259,18 +213,18 @@ class _ClusterAggregates:
         self.sumsq = np.zeros(k)
         np.add.at(self.sumsq, labels, sq)
 
-    def move(self, ids: np.ndarray, src: int, dst: int) -> None:
-        if ids.size == 0 or src == dst:
+    def move(self, block: np.ndarray, src: int, dst: int) -> None:
+        """Move the points of `block` (rows) from cluster src to dst."""
+        if block.shape[0] == 0 or src == dst:
             return
-        block = self.pts[ids]
         s = block.sum(axis=0)
         q = float(np.einsum("ij,ij->", block, block))
         self.sums[src] -= s
         self.sums[dst] += s
         self.sumsq[src] -= q
         self.sumsq[dst] += q
-        self.count[src] -= ids.size
-        self.count[dst] += ids.size
+        self.count[src] -= block.shape[0]
+        self.count[dst] += block.shape[0]
 
     def cost(self) -> float:
         nz = self.count > 0
@@ -292,9 +246,12 @@ def expand(
 
     Zero-gain splits are taken as long as a valid split exists; a leaf whose
     points are all identical is skipped, and the loop ends early once every
-    leaf is unsplittable. Ties on gain go to the lowest leaf id. The input
-    tree is not modified. `stop_condition`, when given, is checked after
-    every step and ends the expansion early when it returns True.
+    leaf is unsplittable. Ties on gain go to the lowest leaf id. `base` may
+    be any tree whose leaves are labeled (a lone unlabeled root gets the best
+    center): built, cut with `prefix` or loaded with `from_json`, since its
+    cells come from routing X. The input tree is not modified.
+    `stop_condition`, when given, is checked after every step and ends the
+    expansion early when it returns True.
     """
     if M.d != X.d:
         raise ValueError("centers and data disagree on dimension")
@@ -303,25 +260,21 @@ def expand(
     tree = base.copy()
     leaves = tree.leaf_ids()
     if len(leaves) == 1 and tree.node(leaves[0]).label is None:
-        lab, _ = best_center(X, tree.node(leaves[0]).point_ids, M)
-        tree.set_leaf_label(leaves[0], lab)
+        tree.set_leaf_label(leaves[0], best_center(X.points, M)[0])
     for i in leaves:
-        node = tree.node(i)
-        if node.point_ids is None:
-            raise ValueError("expansion requires a tree built over the dataset")
-        if node.label is None:
+        if tree.node(i).label is None:
             raise ValueError(f"base leaf {i} is unlabeled")
 
     pts = X.points
+    cells = tree.cells(X)
     leaf_cost: dict[int, float] = {}
     gains: dict[int, SplitCandidate | None] = {}
     labels = np.empty(X.n, dtype=np.int64)
-    for i in leaves:
-        node = tree.node(i)
-        cell = pts[node.point_ids]
-        leaf_cost[i] = cell_cost(cell, M)
+    for i, ids in cells.items():
+        cell = pts[ids]
+        leaf_cost[i] = best_center(cell, M)[1]
         gains[i] = scan_best_split(cell, M, leaf_id=i, jobs=jobs)
-        labels[node.point_ids] = node.label
+        labels[ids] = tree.node(i).label
 
     agg = _ClusterAggregates(pts, labels, M.k)
     surrogate = float(sum(leaf_cost.values()))
@@ -345,23 +298,24 @@ def expand(
 
         cand = gains.pop(best_leaf)
         old_label = tree.node(best_leaf).label
-        cell_ids = tree.node(best_leaf).point_ids
-        ll, lc, rl, rc = _side_costs(pts[cell_ids], M, cand.feature, cand.threshold)
+        left_ids, right_ids = split_cell(X, cells.pop(best_leaf), cand.feature, cand.threshold)
+        left, right = pts[left_ids], pts[right_ids]
+        ll, lc = best_center(left, M)
+        rl, rc = best_center(right, M)
         lid, rid = tree.split_leaf(best_leaf, cand.feature, cand.threshold, ll, rl)
-        left_ids = tree.node(lid).point_ids
-        right_ids = tree.node(rid).point_ids
+        cells[lid], cells[rid] = left_ids, right_ids
         if ll != old_label:
-            agg.move(left_ids, old_label, ll)
+            agg.move(left, old_label, ll)
             labels[left_ids] = ll
         if rl != old_label:
-            agg.move(right_ids, old_label, rl)
+            agg.move(right, old_label, rl)
             labels[right_ids] = rl
 
         prev_cost = leaf_cost.pop(best_leaf)
         leaf_cost[lid] = lc
         leaf_cost[rid] = rc
-        gains[lid] = scan_best_split(pts[left_ids], M, leaf_id=lid, jobs=jobs)
-        gains[rid] = scan_best_split(pts[right_ids], M, leaf_id=rid, jobs=jobs)
+        gains[lid] = scan_best_split(left, M, leaf_id=lid, jobs=jobs)
+        gains[rid] = scan_best_split(right, M, leaf_id=rid, jobs=jobs)
 
         surrogate = float(sum(leaf_cost.values()))
         kcost = agg.cost()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix
-from xkmeans.tree import ThresholdTree
+from xkmeans.tree import ThresholdTree, split_cell
 
 __all__ = ["ImmNodeState", "count_mistakes", "best_mistake_split", "build_imm"]
 
@@ -124,19 +124,18 @@ def build_imm(X: DataMatrix, M: CenterSet, reference: Assignment) -> ThresholdTr
     if reference.labels.size and reference.labels.max() >= M.k:
         raise ValueError("reference label out of range")
 
-    tree = ThresholdTree(X)
-    stack = [(tree.root, np.arange(M.k))]
+    tree = ThresholdTree()
+    stack = [(tree.root, ImmNodeState(np.arange(X.n), np.arange(M.k)))]
     while stack:
-        leaf_id, center_ids = stack.pop()
-        if center_ids.size == 1:
-            tree.set_leaf_label(leaf_id, int(center_ids[0]))
+        leaf_id, state = stack.pop()
+        if state.center_ids.size == 1:
+            tree.set_leaf_label(leaf_id, int(state.center_ids[0]))
             continue
-        state = ImmNodeState(tree.node(leaf_id).point_ids, center_ids)
         feature, theta, _ = best_mistake_split(X, M, reference, state)
-        side = M.centers[center_ids, feature] <= theta
-        left_id, right_id = tree.split_leaf(
-            leaf_id, feature, theta, None, None, allow_empty_side=True
-        )
-        stack.append((right_id, center_ids[~side]))
-        stack.append((left_id, center_ids[side]))
+        # a side may get centers but no points (the center-separation fallback)
+        left_ids, right_ids = split_cell(X, state.point_ids, feature, theta)
+        side = M.centers[state.center_ids, feature] <= theta
+        left_id, right_id = tree.split_leaf(leaf_id, feature, theta, None, None)
+        stack.append((right_id, ImmNodeState(right_ids, state.center_ids[~side])))
+        stack.append((left_id, ImmNodeState(left_ids, state.center_ids[side])))
     return tree

@@ -1,9 +1,14 @@
-"""The threshold tree: an arena of feature-threshold nodes over a dataset.
+"""The threshold tree: feature-threshold nodes and the labels of their leaves.
+
+The tree holds structure only. Which points sit in which cell is state of
+the builder that grows it: each builder keeps its own {leaf id: point ids}
+and splits a cell with `split_cell`, the mask that routing also applies.
+Any tree, built, cut or loaded, gives the cells of a dataset with `cells`.
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
-are stable arena indices (the root is always node 0) and are never reused;
+are stable list indices (the root is always node 0) and are never reused;
 splitting mutates a leaf into an inner node and appends two children, so the
-greedy construction order is preserved in the arena: the tree after its
+greedy construction order is preserved in the node list: the tree after its
 first b - 1 splits is the first 2b - 1 nodes. An inner node keeps the label
 it had as a leaf, so such a prefix is read off without relabeling (`prefix`).
 """
@@ -17,7 +22,13 @@ import numpy as np
 
 from xkmeans.core import Assignment, DataMatrix
 
-__all__ = ["Node", "ThresholdTree"]
+__all__ = ["Node", "ThresholdTree", "split_cell"]
+
+
+def split_cell(X: DataMatrix, ids: np.ndarray, feature: int, threshold: float):
+    """The point ids of a cell that route left and right, in input order."""
+    mask = X.points[ids, feature] <= threshold
+    return ids[mask], ids[~mask]
 
 
 @dataclass
@@ -27,7 +38,6 @@ class Node:
     left: int | None = None
     right: int | None = None
     label: int | None = None
-    point_ids: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -35,28 +45,16 @@ class Node:
 
 
 class ThresholdTree:
-    """Binary threshold tree; leaves carry cluster labels and, during
-    construction, the ids of the points routed to them."""
+    """Full binary threshold tree; leaves carry cluster labels."""
 
-    def __init__(self, data: DataMatrix | None = None, root_label: int | None = None):
-        self._data = data
-        ids = np.arange(data.n) if data is not None else None
-        self.nodes: list[Node] = [Node(label=root_label, point_ids=ids)]
+    def __init__(self, *, root_label: int | None = None):
+        self.nodes: list[Node] = [Node(label=root_label)]
         self.root = 0
 
     # -- construction -----------------------------------------------------
 
-    @classmethod
-    def _empty(cls) -> "ThresholdTree":
-        tree = cls.__new__(cls)
-        tree._data = None
-        tree.nodes = []
-        tree.root = 0
-        return tree
-
     def copy(self) -> "ThresholdTree":
-        tree = ThresholdTree._empty()
-        tree._data = self._data
+        tree = ThresholdTree()
         tree.nodes = [replace(n) for n in self.nodes]
         return tree
 
@@ -68,7 +66,8 @@ class ThresholdTree:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        # every split turns one leaf into two, so the tree is full binary
+        return (len(self.nodes) + 1) // 2
 
     def depth(self) -> int:
         deepest = 0
@@ -95,51 +94,33 @@ class ThresholdTree:
         threshold: float,
         left_label: int | None,
         right_label: int | None,
-        allow_empty_side: bool = False,
     ) -> tuple[int, int]:
-        """Turn a leaf into an inner node; returns the two new leaf ids.
-
-        By default a split that leaves one side empty is rejected; center-
-        driven builders that legitimately need one-sided point routing can
-        opt out.
-        """
-        if self._data is None:
-            raise ValueError("tree was not built over a dataset; cannot split")
+        """Turn a leaf into an inner node; returns the two new leaf ids."""
         node = self.nodes[leaf_id]
         if not node.is_leaf:
             raise ValueError(f"node {leaf_id} is not a leaf")
-        if not 0 <= feature < self._data.d:
+        if feature < 0:
             raise ValueError(f"feature {feature} out of range")
-        ids = node.point_ids
-        vals = self._data.points[ids, feature]
-        mask = vals <= threshold
-        left_ids = ids[mask]
-        right_ids = ids[~mask]
-        if not allow_empty_side and (left_ids.size == 0 or right_ids.size == 0):
-            raise ValueError(
-                f"split on feature {feature} at {threshold} leaves one side empty"
-            )
         left_id = len(self.nodes)
         right_id = left_id + 1
-        self.nodes.append(Node(label=left_label, point_ids=left_ids))
-        self.nodes.append(Node(label=right_label, point_ids=right_ids))
+        self.nodes.append(Node(label=left_label))
+        self.nodes.append(Node(label=right_label))
         node.feature = int(feature)
         node.threshold = float(threshold)
         node.left = left_id
         node.right = right_id
-        node.point_ids = None
         return left_id, right_id
 
     def prefix(self, leaves: int) -> "ThresholdTree":
         """The tree as it stood with `leaves` leaves (all of it, if it has
         fewer): a split whose children fall past the cut becomes a leaf again,
-        under its pre-split label. The copy carries no cell membership."""
+        under its pre-split label."""
         if leaves < 1:
             raise ValueError("a tree prefix needs at least one leaf")
         keep = 2 * min(leaves, self.leaf_count) - 1
-        tree = ThresholdTree._empty()
+        tree = ThresholdTree()
         tree.nodes = [
-            Node(label=n.label) if n.is_leaf or n.left >= keep else replace(n, point_ids=None)
+            Node(label=n.label) if n.is_leaf or n.left >= keep else replace(n)
             for n in self.nodes[:keep]
         ]
         return tree
@@ -179,36 +160,37 @@ class ThresholdTree:
             node = self.nodes[node.left if left else node.right]
         return path, node.label
 
-    def leaf_of_points(self, X: DataMatrix) -> np.ndarray:
-        """Leaf id per row of X (vectorized routing)."""
+    def cells(self, X: DataMatrix) -> dict[int, np.ndarray]:
+        """Ascending ids of the rows of X in each leaf, keyed by leaf id in
+        ascending order (vectorized routing)."""
         self._check_dim(X.d)
-        out = np.empty(X.n, dtype=np.int64)
+        cells = {}
         stack = [(self.root, np.arange(X.n))]
         while stack:
             node_id, ids = stack.pop()
             node = self.nodes[node_id]
             if node.is_leaf:
-                out[ids] = node_id
+                cells[node_id] = ids
                 continue
-            mask = X.points[ids, node.feature] <= node.threshold
-            stack.append((node.left, ids[mask]))
-            stack.append((node.right, ids[~mask]))
+            left, right = split_cell(X, ids, node.feature, node.threshold)
+            stack += [(node.left, left), (node.right, right)]
+        return dict(sorted(cells.items()))
+
+    def leaf_of_points(self, X: DataMatrix) -> np.ndarray:
+        """Leaf id per row of X."""
+        out = np.empty(X.n, dtype=np.int64)
+        for leaf, ids in self.cells(X).items():
+            out[ids] = leaf
         return out
 
-    def induced_assignment(self, X: DataMatrix | None = None) -> Assignment:
-        """Cluster label per point, via routing and the leaf labeling."""
-        if X is None:
-            X = self._data
-        if X is None:
-            raise ValueError("no dataset to assign; pass X explicitly")
+    def induced_assignment(self, X: DataMatrix) -> Assignment:
+        """Cluster label per row of X, via routing and the leaf labeling."""
+        label_of = np.full(len(self.nodes), -1, dtype=np.int64)
         for i in self.leaf_ids():
             if self.nodes[i].label is None:
                 raise ValueError(f"leaf {i} is unlabeled")
-        leaf = self.leaf_of_points(X)
-        label_of = np.full(len(self.nodes), -1, dtype=np.int64)
-        for i in self.leaf_ids():
             label_of[i] = self.nodes[i].label
-        return Assignment(label_of[leaf])
+        return Assignment(label_of[self.leaf_of_points(X)])
 
     # -- export ------------------------------------------------------------
 
@@ -257,7 +239,7 @@ class ThresholdTree:
         return json.dumps({"nodes": nodes})
 
     @classmethod
-    def from_json(cls, text: str, data: DataMatrix | None = None) -> "ThresholdTree":
+    def from_json(cls, text: str) -> "ThresholdTree":
         """Load a tree written by `to_json`.
 
         Raises ValueError unless every node is reachable from node 0 exactly
@@ -269,8 +251,8 @@ class ThresholdTree:
         raw = payload.get("nodes") if isinstance(payload, dict) else None
         if not isinstance(raw, list) or not raw:
             raise ValueError("tree JSON has no nodes")
-        tree = cls._empty()
-        tree._data = data
+        tree = cls()
+        tree.nodes = []
         for i, entry in enumerate(raw):
             try:
                 if "label" in entry:

@@ -146,7 +146,7 @@ def test_criterion_5_refinement_locality(blob_runs):
         tree = run["base"].copy()
         before = tree.induced_assignment(X).labels
         for step in result.trace:
-            moved = tree.node(step.leaf).point_ids
+            moved = tree.cells(X)[step.leaf]
             tree.split_leaf(step.leaf, step.feature, step.threshold, step.left_label, step.right_label)
             after = tree.induced_assignment(X).labels
             outside = np.setdiff1d(np.arange(X.n), moved)
@@ -236,7 +236,7 @@ def test_criterion_7_outlier_dataset_gap():
     gini_ratios = {}
     for budget in range(k, 4 * k + 1):
         tree = build_gini_tree(X, ref.assignment, budget)
-        gini_ratios[budget] = kmeans_cost(X, tree.induced_assignment()) / ref.cost
+        gini_ratios[budget] = kmeans_cost(X, tree.induced_assignment(X)) / ref.cost
     gini_ok = all(ratio > 2.0 for ratio in gini_ratios.values())
 
     base = build_imm(X, ref.centers, ref.assignment)
@@ -265,7 +265,7 @@ def test_criterion_8_iris_cost_ratios():
     assert ref.cost == pytest.approx(78.851441, rel=0.01)
 
     base = build_imm(X, ref.centers, ref.assignment)
-    imm_ratio = kmeans_cost(X, base.induced_assignment()) / ref.cost
+    imm_ratio = kmeans_cost(X, base.induced_assignment(X)) / ref.cost
     result = expand(X, ref.centers, base, 12)
     exkmc_ratio = result.trace[-1].kmeans_cost / ref.cost
     elapsed = time.perf_counter() - started

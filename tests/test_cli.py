@@ -1,12 +1,18 @@
 import csv
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xkmeans
 from xkmeans.cli import (
+    METHODS,
     RESULT_COLUMNS,
     ExperimentConfig,
     explain_point,
@@ -14,7 +20,6 @@ from xkmeans.cli import (
     parse_budgets,
     run_experiment,
 )
-from xkmeans.core import DataMatrix
 from xkmeans.synth import gen_gaussian_blobs
 from xkmeans.tree import ThresholdTree
 
@@ -171,8 +176,7 @@ class TestCliEntry:
 
 class TestExplain:
     def fig_tree_file(self, tmp_path):
-        X = DataMatrix([[0.0, -3.0], [0.0, 0.0], [1.0, 0.0]])
-        tree = ThresholdTree(X)
+        tree = ThresholdTree()
         _, right = tree.split_leaf(0, 1, -2.5, 0, None)
         tree.split_leaf(right, 0, 0.5, 1, 2)
         path = tmp_path / "tree.json"
@@ -180,8 +184,7 @@ class TestExplain:
         return path
 
     def test_single_leaf_has_empty_path(self, tmp_path):
-        X = DataMatrix([[1.0]])
-        tree = ThresholdTree(X, root_label=0)
+        tree = ThresholdTree(root_label=0)
         path = tmp_path / "t.json"
         path.write_text(tree.to_json())
         steps, label = explain_point(path, [4.2])
@@ -236,18 +239,24 @@ def test_budget_below_base_leaves_fails_cleanly(tmp_path, capsys):
     assert "below the base tree" in capsys.readouterr().err
 
 
+BAD_BUDGETS = "leaf budgets must be at least 1 and strictly ascending"
+
+
 @pytest.mark.parametrize(
-    "leaves, k", [("0,3", "3"), ("3,k", "3")], ids=["below_one", "repeated"]
+    "leaves, jobs, message",
+    [("0,3", "1", BAD_BUDGETS), ("3,k", "1", BAD_BUDGETS),
+     ("k", "0", "jobs must be at least 1"), ("k", "-1", "jobs must be at least 1")],
+    ids=["below_one", "repeated", "zero_jobs", "negative_jobs"],
 )
-def test_bad_budgets_exit_code(tmp_path, capsys, leaves, k):
+def test_bad_budgets_exit_code(tmp_path, capsys, leaves, jobs, message):
     data = tmp_path / "blobs.csv"
     write_blob_csv(data, k=3)
     code = main(
-        ["run", "--data", str(data), "--k", k, "--leaves", leaves,
+        ["run", "--data", str(data), "--k", "3", "--leaves", leaves, "--jobs", jobs,
          "--methods", "imm", "--out", str(tmp_path / "out")]
     )
     assert code == 1
-    assert "leaf budgets must be at least 1 and strictly ascending" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
@@ -346,8 +355,7 @@ def test_synthetic2_via_cli(tmp_path):
 
 
 def test_explain_dimension_mismatch_exit_code(tmp_path, capsys):
-    X = DataMatrix([[0.0, -3.0], [0.0, 0.0], [1.0, 0.0]])
-    tree = ThresholdTree(X)
+    tree = ThresholdTree()
     tree.split_leaf(0, 1, -2.5, 0, 1)
     tree_file = tmp_path / "t.json"
     tree_file.write_text(tree.to_json())
@@ -372,16 +380,15 @@ def test_explain_malformed_tree_exit_code(tmp_path, capsys, nodes):
     assert code == 1
     assert "tree JSON" in capsys.readouterr().err
 
-def test_console_script_runs_are_reproducible(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import xkmeans
-
-    # the child imports the same xkmeans as this process, installed or not
+def _child_env():
+    """Environment in which a child process imports the same xkmeans as
+    this process, installed or not."""
     src = str(Path(xkmeans.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_runs_are_reproducible(tmp_path):
+    env = _child_env()
     data = tmp_path / "blobs.csv"
     write_blob_csv(data, k=3, n=36, d=3, seed=11)
     argv = [
@@ -402,3 +409,25 @@ def test_console_script_runs_are_reproducible(tmp_path):
     trace_a = (tmp_path / "run_a" / "trace_exkmc_imm_k6.jsonl").read_bytes()
     trace_b = (tmp_path / "run_b" / "trace_exkmc_imm_k6.jsonl").read_bytes()
     assert trace_a == trace_b
+
+
+def test_tracer_reports_layer_counters(tmp_path):
+    # the benchmark's traced run reads builder arguments (the IMM node
+    # state's point ids, the scanned cell) and wraps every public tree
+    # method; a refactor that breaks either shows up here, not only in a
+    # benchmark run
+    tracer_path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(tracer_path), str(spans), "run", "--data", str(IRIS),
+         "--k", "3", "--leaves", "k,2k", "--methods", ",".join(METHODS),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = tracer.layer_metrics(json.loads(spans.read_text())["spans"])
+    for name in ("imm.node_points", "exkmc.scan.cell_entries", "tree.split_leaf.calls"):
+        assert metrics[name] > 0, name

@@ -150,7 +150,7 @@ class TestSurrogateCost:
     def test_best_center_tie_breaks_low_index(self):
         X = DataMatrix([[0.0]])
         M = CenterSet([[1.0], [-1.0]])
-        label, cost = best_center(X, [0], M)
+        label, cost = best_center(X.points[[0]], M)
         assert label == 0 and cost == pytest.approx(1.0)
 
 
@@ -191,7 +191,7 @@ def test_surrogate_upper_bounds_kmeans(n, d, cells, k, seed):
     merged = np.zeros(n, dtype=np.int64)
     for cell in partition:
         if cell.size:
-            merged[cell] = best_center(X, cell, M)[0]
+            merged[cell] = best_center(X.points[cell], M)[0]
     km = kmeans_cost(X, Assignment(merged))
     assert km <= sur * (1 + 1e-9) + 1e-12
 

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost, surrogate_cost
-from xkmeans.exkmc import (
-    cell_cost,
-    expand,
-    find_labels,
-    root_tree,
-    scan_best_split,
-    split_cost,
+from xkmeans.core import (
+    Assignment,
+    CenterSet,
+    DataMatrix,
+    best_center,
+    kmeans_cost,
+    surrogate_cost,
 )
+from xkmeans.exkmc import expand, root_tree, scan_best_split
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import gen_gaussian_blobs
@@ -44,13 +46,20 @@ def naive_best_split(points, centers):
     return min((r for r in rows if r[0] <= cutoff), key=lambda r: (r[1], r[2]))
 
 
+def split_sides(points, M, feature, threshold):
+    """(label, cost) of the best center of each side of a split: how
+    `expand` labels and prices the two cells a split makes."""
+    mask = points[:, feature] <= threshold
+    return best_center(points[mask], M), best_center(points[~mask], M)
+
+
 def replay_trace(X, M, base, result):
     """Re-apply a recorded expansion step by step on a fresh copy, checking
     each trace row against recomputation from first principles."""
     tree = base.copy()
     before = tree.induced_assignment(X).labels
     for step in result.trace:
-        moved = tree.node(step.leaf).point_ids
+        moved = tree.cells(X)[step.leaf]
         tree.split_leaf(
             step.leaf, step.feature, step.threshold, step.left_label, step.right_label
         )
@@ -58,7 +67,7 @@ def replay_trace(X, M, base, result):
         outside = np.setdiff1d(np.arange(X.n), moved)
         assert np.array_equal(before[outside], after[outside]), "labels leaked outside the split leaf"
 
-        partition = [tree.node(i).point_ids for i in tree.leaf_ids()]
+        partition = list(tree.cells(X).values())
         sur = surrogate_cost(X, partition, M)
         assert sur == pytest.approx(step.surrogate_cost, rel=1e-9, abs=1e-9)
         km = kmeans_cost(X, Assignment(after))
@@ -69,31 +78,32 @@ def replay_trace(X, M, base, result):
 
 class TestFindLabels:
     def test_four_point_example(self):
-        assert find_labels(FOUR_POINTS.points, TWO_CENTERS, 0, 0.0) == (0, 1)
+        (ll, _), (rl, _) = split_sides(FOUR_POINTS.points, TWO_CENTERS, 0, 0.0)
+        assert (ll, rl) == (0, 1)
 
     def test_same_label_children_allowed(self):
         M = CenterSet([[0.0, 0.5], [100.0, 0.5]])
-        assert find_labels(FOUR_POINTS.points, M, 0, 0.0) == (0, 0)
+        (ll, _), (rl, _) = split_sides(FOUR_POINTS.points, M, 0, 0.0)
+        assert (ll, rl) == (0, 0)
 
     def test_singleton_sides_pick_own_center(self):
         X = np.array([[0.0], [10.0]])
         M = CenterSet([[0.0], [10.0]])
-        assert find_labels(X, M, 0, 5.0) == (0, 1)
-
-    def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
-            find_labels(FOUR_POINTS.points, TWO_CENTERS, 0, 10.0)
+        (ll, _), (rl, _) = split_sides(X, M, 0, 5.0)
+        assert (ll, rl) == (0, 1)
 
 
 class TestSplitCost:
     def test_four_point_example(self):
-        assert split_cost(FOUR_POINTS.points, TWO_CENTERS, 0, 0.0) == pytest.approx(1.0)
+        (_, lc), (_, rc) = split_sides(FOUR_POINTS.points, TWO_CENTERS, 0, 0.0)
+        assert lc + rc == pytest.approx(1.0)
 
     def test_semantically_empty_split_keeps_cost(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
         M = CenterSet([[0.1, 0.0], [50.0, 0.0]])
-        pre = cell_cost(pts, M)
-        assert split_cost(pts, M, 0, 0.0) == pytest.approx(pre)
+        pre = best_center(pts, M)[1]
+        (_, lc), (_, rc) = split_sides(pts, M, 0, 0.0)
+        assert lc + rc == pytest.approx(pre)
 
     def test_consistent_with_fixed_center_costs(self):
         rng = np.random.default_rng(3)
@@ -103,11 +113,11 @@ class TestSplitCost:
             f, theta = 1, float(np.median(pts[:, 1]))
             if (pts[:, f] <= theta).all() or not (pts[:, f] <= theta).any():
                 continue
-            ll, rl = find_labels(pts, M, f, theta)
+            (ll, lc), (rl, rc) = split_sides(pts, M, f, theta)
             mask = pts[:, f] <= theta
             want = ((pts[mask] - M.centers[ll]) ** 2).sum()
             want += ((pts[~mask] - M.centers[rl]) ** 2).sum()
-            assert split_cost(pts, M, f, theta) == pytest.approx(float(want))
+            assert lc + rc == pytest.approx(float(want))
 
 
 class TestScanBestSplit:
@@ -154,8 +164,9 @@ class TestScanBestSplit:
             if vals.size < 2:
                 continue
             theta = float(rng.choice(vals[:-1]))
-            pre = cell_cost(pts, M)
-            assert split_cost(pts, M, f, theta) <= pre * (1 + 1e-9) + 1e-12
+            pre = best_center(pts, M)[1]
+            (_, lc), (_, rc) = split_sides(pts, M, f, theta)
+            assert lc + rc <= pre * (1 + 1e-9) + 1e-12
             checked += 1
 
 
@@ -177,14 +188,14 @@ class TestExpand:
         )
 
     def test_empty_base_single_step(self):
-        base = ThresholdTree(FOUR_POINTS)  # single unlabeled root
+        base = ThresholdTree()  # single unlabeled root
         result = expand(FOUR_POINTS, TWO_CENTERS, base, 2)
         assert len(result.trace) == 1
         step = result.trace[0]
         assert (step.feature, step.threshold) == (0, 0.0)
         assert (step.left_label, step.right_label) == (0, 1)
         assert step.surrogate_cost == pytest.approx(1.0)
-        assert result.tree.induced_assignment().labels.tolist() == [0, 0, 1, 1]
+        assert result.tree.induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
 
     def test_budget_below_base_rejected(self):
         X, ref = self.blob_fit(1)
@@ -232,8 +243,8 @@ class TestExpand:
                 step.leaf, step.feature, step.threshold, step.left_label, step.right_label
             )
             pure = all(
-                np.unique(ref.assignment.labels[tree.node(i).point_ids]).size <= 1
-                for i in tree.leaf_ids()
+                np.unique(ref.assignment.labels[ids]).size <= 1
+                for ids in tree.cells(X).values()
             )
             if pure:
                 purity_step = idx
@@ -268,7 +279,7 @@ class TestExpand:
     def test_no_split_early_stop(self):
         X = DataMatrix(np.ones((6, 2)))
         M = CenterSet([[1.0, 1.0], [5.0, 5.0]])
-        base = ThresholdTree(X)
+        base = ThresholdTree()
         result = expand(X, M, base, 4)
         assert result.stop_reason == "no_split"
         assert result.tree.leaf_count == 1
@@ -282,17 +293,36 @@ class TestExpand:
 
 
 def test_unlabeled_multi_leaf_base_rejected():
-    tree = ThresholdTree(FOUR_POINTS)
+    tree = ThresholdTree()
     tree.split_leaf(0, 0, 0.0, None, None)
     with pytest.raises(ValueError, match="unlabeled"):
         expand(FOUR_POINTS, TWO_CENTERS, tree, 4)
 
 
-def test_imported_tree_without_points_rejected():
-    tree = ThresholdTree(FOUR_POINTS, root_label=0)
-    restored = ThresholdTree.from_json(tree.to_json())
-    with pytest.raises(ValueError, match="built over"):
-        expand(FOUR_POINTS, TWO_CENTERS, restored, 2)
+@pytest.mark.parametrize("imm_base", [True, False], ids=["imm_base", "root_base"])
+def test_expand_resumes_from_a_cut_tree(imm_base):
+    # greedy growth is prefix-closed, and expand takes the cells of any
+    # labeled tree from routing: growing the first b leaves of a build, cut
+    # in memory or loaded from JSON, back to B repeats the build's last steps
+    X, _ = gen_gaussian_blobs(4, 120, 3, separation=3.0, seed=12)
+    ref = fit_reference(X, KMeansConfig(k=4, n_init=2, seed=12))
+    M = ref.centers
+    base = build_imm(X, M, ref.assignment) if imm_base else root_tree(X, M)
+    B = 30
+    full = expand(X, M, base, B)
+    assert full.tree.leaf_count == B
+    for b in (base.leaf_count, 10, 23, B - 1):
+        cut = full.tree.prefix(b)
+        for start in (cut, ThresholdTree.from_json(cut.to_json())):
+            resumed = expand(X, M, start, B)
+            assert resumed.tree.to_json() == full.tree.to_json()
+            want = full.trace[b - base.leaf_count :]
+            assert len(resumed.trace) == len(want)
+            for i, (got, exp) in enumerate(zip(resumed.trace, want), start=1):
+                # the k-means cost comes from aggregates updated along the
+                # path, so the two runs sum it in a different order
+                assert got.kmeans_cost == pytest.approx(exp.kmeans_cost, rel=1e-9)
+                assert got == replace(exp, step=i, kmeans_cost=got.kmeans_cost)
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,7 +367,7 @@ def test_full_budget_expansion_reaches_nearest_assignment(n, d, k, seed):
     d2 = ((pts[:, None, :] - M.centers[None, :, :]) ** 2).sum(axis=2)
     nearest = np.argmin(d2, axis=1)
 
-    result = expand(X, M, ThresholdTree(X), n)
+    result = expand(X, M, ThresholdTree(), n)
     induced = result.tree.induced_assignment(X)
     assert np.array_equal(induced.labels, nearest)
     assert result.final_surrogate == pytest.approx(

@@ -220,7 +220,7 @@ class TestBuildImm:
         root = tree.node(tree.root)
         assert (root.feature, root.threshold) == (0, 0.0)
         assert tree.leaf_count == 2
-        assert np.array_equal(tree.induced_assignment().labels, ref.labels)
+        assert np.array_equal(tree.induced_assignment(FOUR_POINTS).labels, ref.labels)
 
     def test_duplicate_centers_rejected(self):
         M = CenterSet([[0.0, 0.5], [0.0, 0.5]])
@@ -242,7 +242,7 @@ class TestBuildImm:
         X, _ = gen_gaussian_blobs(5, 100, 4, separation=3.0, seed=11)
         ref = fit_reference(X, KMeansConfig(k=5, n_init=2, seed=11))
         tree = build_imm(X, ref.centers, ref.assignment)
-        ids = np.concatenate([tree.node(i).point_ids for i in tree.leaf_ids()])
+        ids = np.concatenate(list(tree.cells(X).values()))
         assert np.array_equal(np.sort(ids), np.arange(X.n))
 
     def test_box_separated_data_reproduced_exactly(self):
@@ -258,7 +258,7 @@ class TestBuildImm:
         centers = np.array([b.mean(axis=0) for b in blocks])
         ref = Assignment(labels)
         tree = build_imm(X, CenterSet(centers), ref)
-        assert np.array_equal(tree.induced_assignment().labels, ref.labels)
+        assert np.array_equal(tree.induced_assignment(X).labels, ref.labels)
 
     def test_codeword_dataset_cost_ratio_is_modest(self):
         # with the true codewords as reference centers, the ratio vs the
@@ -266,7 +266,7 @@ class TestBuildImm:
         # frozen from the first verified run of this builder)
         X, codewords, truth = gen_synthetic_ii(SyntheticIISpec(k=5, d=400, seed=0))
         tree = build_imm(X, codewords, truth)
-        tree_cost = kmeans_cost(X, tree.induced_assignment())
+        tree_cost = kmeans_cost(X, tree.induced_assignment(X))
         optimal = float(X.n)
         assert tree_cost / optimal <= 2.2 * np.log2(5)
 
@@ -280,7 +280,7 @@ class TestDegenerateNodes:
         ref = Assignment([0, 0, 0])
         tree = build_imm(X, M, ref)
         assert tree.leaf_count == 2
-        sizes = sorted(tree.node(i).point_ids.size for i in tree.leaf_ids())
+        sizes = sorted(ids.size for ids in tree.cells(X).values())
         assert sizes == [0, 3]
         labels = sorted(tree.node(i).label for i in tree.leaf_ids())
         assert labels == [0, 1]
@@ -320,7 +320,7 @@ def test_build_invariants_on_tie_heavy_integer_data(n, d, k, seed):
     assert tree.leaf_count == k
     assert tree.depth() <= k - 1
     assert sorted(tree.node(i).label for i in tree.leaf_ids()) == list(range(k))
-    ids = np.concatenate([tree.node(i).point_ids for i in tree.leaf_ids()])
+    ids = np.concatenate(list(tree.cells(X).values()))
     assert np.array_equal(np.sort(ids), np.arange(n))
 
 

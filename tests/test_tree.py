@@ -13,7 +13,7 @@ FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
 def fig_tree():
     # root: y <= -2.5; right child: x <= 0.5; leaves labeled 0, 1, 2
     X = DataMatrix([[0.0, -3.0], [0.0, 0.0], [1.0, 0.0]])
-    tree = ThresholdTree(X)
+    tree = ThresholdTree()
     _, right = tree.split_leaf(0, feature=1, threshold=-2.5, left_label=0, right_label=None)
     tree.split_leaf(right, feature=0, threshold=0.5, left_label=1, right_label=2)
     return tree, X
@@ -21,12 +21,12 @@ def fig_tree():
 
 class TestRoute:
     def test_single_leaf(self):
-        tree = ThresholdTree(FOUR_POINTS, root_label=0)
+        tree = ThresholdTree(root_label=0)
         for x in [(0, 0), (100, -5)]:
             assert tree.route(x) == 0
 
     def test_boundary_goes_left(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         left, right = tree.split_leaf(0, 0, 0.5, 0, 1)
         assert tree.route((0.5, 9.0)) == left
         assert tree.route((0.500001, 9.0)) == right
@@ -34,9 +34,9 @@ class TestRoute:
 
 class TestInducedAssignment:
     def test_constant_labels(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         l, r = tree.split_leaf(0, 0, 0.0, 0, 0)
-        got = tree.induced_assignment()
+        got = tree.induced_assignment(FOUR_POINTS)
         assert got.labels.tolist() == [0, 0, 0, 0]
 
     def test_two_threshold_tree(self):
@@ -44,65 +44,65 @@ class TestInducedAssignment:
         assert tree.induced_assignment(X).labels.tolist() == [0, 1, 2]
 
     def test_four_point_split(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         tree.split_leaf(0, 0, 0.0, 0, 1)
-        assert tree.induced_assignment().labels.tolist() == [0, 0, 1, 1]
+        assert tree.induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
 
     def test_unlabeled_leaf_rejected(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         with pytest.raises(ValueError):
-            tree.induced_assignment()
+            tree.induced_assignment(FOUR_POINTS)
 
 
 class TestSplitLeaf:
     def test_four_point_partition(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         left, right = tree.split_leaf(0, 0, 0.0, 0, 1)
-        assert tree.node(left).point_ids.tolist() == [0, 1]
-        assert tree.node(right).point_ids.tolist() == [2, 3]
+        cells = tree.cells(FOUR_POINTS)
+        assert cells[left].tolist() == [0, 1]
+        assert cells[right].tolist() == [2, 3]
         assert tree.node(left).label == 0 and tree.node(right).label == 1
 
     def test_two_point_midpoint(self):
         X = DataMatrix([[0.0], [2.0]])
-        tree = ThresholdTree(X)
+        tree = ThresholdTree()
         l, r = tree.split_leaf(0, 0, 1.0, 0, 1)
-        assert tree.node(l).point_ids.tolist() == [0]
-        assert tree.node(r).point_ids.tolist() == [1]
-
-    def test_one_sided_split_rejected(self):
-        tree = ThresholdTree(FOUR_POINTS)
-        with pytest.raises(ValueError):
-            tree.split_leaf(0, 0, 4.0, 0, 1)  # threshold at the max value
+        cells = tree.cells(X)
+        assert cells[l].tolist() == [0]
+        assert cells[r].tolist() == [1]
 
     def test_leaf_count_tracks_splits(self):
         rng = np.random.default_rng(0)
         X, _ = gen_gaussian_blobs(2, 64, 3, separation=4.0, seed=0)
-        tree = ThresholdTree(X)
+        tree = ThresholdTree()
         splits = 0
         for _ in range(10):
-            candidates = [
-                i
-                for i in tree.leaf_ids()
-                if np.unique(X.points[tree.node(i).point_ids, 0]).size > 1
-            ]
+            cells = tree.cells(X)
+            candidates = [i for i in cells if np.unique(X.points[cells[i], 0]).size > 1]
             if not candidates:
                 break
             leaf = candidates[0]
-            vals = X.points[tree.node(leaf).point_ids, 0]
+            vals = X.points[cells[leaf], 0]
             theta = np.median(vals)
             if theta >= vals.max():
                 theta = vals.min()
             tree.split_leaf(leaf, 0, theta, 0, 1)
             splits += 1
         assert tree.leaf_count == 1 + splits
+        # the O(1) count holds for cut and loaded trees as well
+        trees = [tree, tree.prefix(4), tree.prefix(1), ThresholdTree.from_json(tree.to_json())]
+        for t in trees:
+            assert t.leaf_count == sum(node.is_leaf for node in t.nodes)
+        assert [t.leaf_count for t in trees] == [1 + splits, 4, 1, 1 + splits]
 
     def test_leaves_stay_disjoint_and_complete(self):
         rng = np.random.default_rng(5)
         X, _ = gen_gaussian_blobs(3, 50, 4, separation=3.0, seed=5)
-        tree = ThresholdTree(X)
+        tree = ThresholdTree()
         for _ in range(8):
-            leaf = max(tree.leaf_ids(), key=lambda i: tree.node(i).point_ids.size)
-            ids = tree.node(leaf).point_ids
+            cells = tree.cells(X)
+            leaf = max(cells, key=lambda i: cells[i].size)
+            ids = cells[leaf]
             f = int(rng.integers(0, 4))
             vals = X.points[ids, f]
             if np.unique(vals).size < 2:
@@ -111,17 +111,17 @@ class TestSplitLeaf:
             if theta >= vals.max():
                 theta = float(vals.min())
             tree.split_leaf(leaf, f, theta, 0, 0)
-        all_ids = np.concatenate([tree.node(i).point_ids for i in tree.leaf_ids()])
+        all_ids = np.concatenate(list(tree.cells(X).values()))
         assert np.array_equal(np.sort(all_ids), np.arange(X.n))
 
 
 class TestExport:
     def test_text_single_leaf(self):
-        tree = ThresholdTree(FOUR_POINTS, root_label=0)
+        tree = ThresholdTree(root_label=0)
         assert tree.export_text() == "label 0\n"
 
     def test_text_four_point_tree(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         tree.split_leaf(0, 0, 0.0, 0, 1)
         assert tree.export_text() == "feature 0 <= 0.0\n  label 0\n  label 1\n"
 
@@ -145,11 +145,12 @@ class TestExport:
 
     def test_json_round_trip_preserves_routing(self):
         X, _ = gen_gaussian_blobs(3, 80, 3, separation=4.0, seed=9)
-        tree = ThresholdTree(X)
+        tree = ThresholdTree()
         rng = np.random.default_rng(9)
         for _ in range(6):
-            leaf = max(tree.leaf_ids(), key=lambda i: tree.node(i).point_ids.size)
-            ids = tree.node(leaf).point_ids
+            cells = tree.cells(X)
+            leaf = max(cells, key=lambda i: cells[i].size)
+            ids = cells[leaf]
             f = int(rng.integers(0, 3))
             vals = X.points[ids, f]
             if np.unique(vals).size < 2:
@@ -169,7 +170,7 @@ class TestExport:
             assert tree.route(row) == restored.route(row)
 
     def test_json_schema_field_order(self):
-        tree = ThresholdTree(FOUR_POINTS)
+        tree = ThresholdTree()
         tree.split_leaf(0, 0, 0.0, 0, 1)
         text = tree.to_json()
         assert text == (
@@ -181,7 +182,7 @@ class TestExport:
 class TestPrefix:
     def grown_tree(self):
         # every split keeps its parent's label on the left child
-        tree = ThresholdTree(FOUR_POINTS, root_label=0)
+        tree = ThresholdTree(root_label=0)
         _, right = tree.split_leaf(0, 0, 0.0, 0, 1)
         tree.split_leaf(right, 1, 0.0, 1, 2)
         return tree
@@ -195,26 +196,20 @@ class TestPrefix:
 
     def test_cut_split_becomes_leaf_with_pre_split_label(self):
         tree = self.grown_tree()
-        two = ThresholdTree(FOUR_POINTS, root_label=0)
+        two = ThresholdTree(root_label=0)
         two.split_leaf(0, 0, 0.0, 0, 1)
         assert tree.prefix(2).to_json() == two.to_json()
         assert tree.prefix(2).induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
-        assert tree.prefix(1).to_json() == ThresholdTree(FOUR_POINTS, root_label=0).to_json()
+        assert tree.prefix(1).to_json() == ThresholdTree(root_label=0).to_json()
 
     def test_source_tree_is_left_unmodified(self):
         tree = self.grown_tree()
-        before = (tree.to_json(), [tree.node(i).point_ids.tolist() for i in tree.leaf_ids()])
+        before = (tree.to_json(), [ids.tolist() for ids in tree.cells(FOUR_POINTS).values()])
         cut = tree.prefix(2)
         cut.set_leaf_label(2, 2)
-        after = (tree.to_json(), [tree.node(i).point_ids.tolist() for i in tree.leaf_ids()])
+        after = (tree.to_json(), [ids.tolist() for ids in tree.cells(FOUR_POINTS).values()])
         assert before == after
         assert tree.node(2).feature == 1 and tree.node(2).label == 1
-
-    def test_prefix_carries_no_cell_membership(self):
-        cut = self.grown_tree().prefix(2)
-        assert all(node.point_ids is None for node in cut.nodes)
-        with pytest.raises(ValueError):
-            cut.split_leaf(1, 0, 0.0, 0, 1)
 
     def test_zero_leaves_rejected(self):
         with pytest.raises(ValueError):
@@ -253,7 +248,7 @@ def test_from_json_rejects_malformed_trees(nodes):
 def test_deep_chain_walks_without_recursion():
     # k' = n on sorted 1-D data: every split peels off the lowest point
     n = 3000
-    tree = ThresholdTree(DataMatrix(np.arange(float(n))[:, None]))
+    tree = ThresholdTree()
     leaf = tree.root
     for i in range(n - 1):
         _, leaf = tree.split_leaf(leaf, 0, float(i), i, None)
