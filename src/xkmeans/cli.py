@@ -112,10 +112,11 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
 
 def _score(X, tree, reference) -> CostReport:
     """Costs of a tree's clustering, over the cells that routing X gives."""
-    assignment = tree.induced_assignment(X)
+    cells = tree.cells(X)
+    assignment = tree.induced_assignment(X, cells)
     return CostReport.build(
         kmeans_cost=kmeans_cost(X, assignment),
-        surrogate_cost=surrogate_cost(X, list(tree.cells(X).values()), reference.centers),
+        surrogate_cost=surrogate_cost(X, list(cells.values()), reference.centers),
         leaf_count=tree.leaf_count,
         reference_cost=reference.cost,
         accuracy=accuracy(reference.assignment, assignment),

@@ -206,6 +206,14 @@ def best_center(points, M: CenterSet) -> tuple[int, float]:
     return j, float(costs[j])
 
 
+def cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-cluster row sums, added in row order as `np.add.at` does."""
+    if points.shape[1] == 1:
+        # a masked (m, 1) column sum would be pairwise; bincount is sequential
+        return np.bincount(labels, weights=points[:, 0], minlength=k)[:, None]
+    return np.array([points[labels == j].sum(axis=0) for j in range(k)])
+
+
 def surrogate_cost(X: DataMatrix, leaf_partition: Sequence, M: CenterSet) -> float:
     """Cost of a leaf partition when every cell uses its single best fixed center.
 
@@ -246,10 +254,37 @@ def load_csv(path, columns: Sequence[int] | None = None) -> DataMatrix:
 
     The header is detected by attempting to parse the first row as floats.
     `columns` selects a subset by original column index. Columns containing
-    any non-numeric value are dropped with a warning.
+    any non-numeric value are dropped with a warning. A UTF-8 BOM is skipped.
+    One `np.loadtxt` pass reads the file, or a row-by-row parse where they could differ.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        data = _loadtxt(path, columns)
+    except ValueError:
+        data = None  # read again below, outside this handler
+    return DataMatrix(_load_rows(path, columns) if data is None else data)
+
+
+def _loadtxt(path: Path, columns) -> np.ndarray:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        first = next(filter(None, reader), None)
+        header = first is not None and not all(_looks_numeric(tok) for tok in first)
+        skip = reader.line_num if header else 0
+        if first is None or header and next(filter(None, reader), None) is None:
+            raise ValueError("no data rows")
+    raw = path.read_bytes()
+    if any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
+        raise ValueError("loadtxt strips these separators as whitespace, float() does not")
+    # every column: with usecols, loadtxt skips its ragged-row check
+    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig", skiprows=skip)
+    if columns is not None and not (len(columns) and all(0 <= c < data.shape[1] for c in columns)):
+        raise ValueError("no columns, or one out of range")
+    return data if columns is None else data[:, list(columns)]
+
+
+def _load_rows(path: Path, columns) -> np.ndarray:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path} is empty")
@@ -282,5 +317,4 @@ def load_csv(path, columns: Sequence[int] | None = None) -> DataMatrix:
     if not numeric:
         raise ValueError(f"{path} has no numeric columns to load")
 
-    data = np.array([[float(row[c]) for c in numeric] for row in rows])
-    return DataMatrix(data)
+    return np.array([[float(row[c]) for c in numeric] for row in rows])

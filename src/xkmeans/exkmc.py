@@ -14,18 +14,21 @@ scratch. For a cell C and center mu,
 and the first term does not depend on the split, so ranking splits only
 needs running inner products <x, mu> accumulated in sorted feature order.
 One sort per feature plus an O(k) update per threshold gives
-O(d k n + d n log n) per scanned leaf.
+O(d k n + d n log n) per scanned leaf. The scan runs center-major: for a
+block of features, each center's products are cumsummed in sorted order as
+one (n, block) array, and the k centers are folded with an elementwise min.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import CenterSet, DataMatrix, best_center
+from xkmeans.core import CenterSet, DataMatrix, best_center, cluster_sums
 from xkmeans.tree import ThresholdTree, split_cell
 
 __all__ = [
@@ -135,7 +138,9 @@ def scan_best_split(
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
     order = np.argsort(points, axis=0, kind="stable")
-    counts = np.arange(1, m, dtype=np.float64)[:, None, None]
+    counts = np.arange(1, m, dtype=np.float64)[:, None]
+    lm2, rm2 = counts * m2, (m - counts) * m2  # (m - 1, k) size terms of each side
+    PT = np.ascontiguousarray(P.T)  # center-major: one contiguous row per center
 
     def scan_range(f0, f1):
         entries = []  # per-feature best: (score, feature, theta, left, right)
@@ -146,19 +151,19 @@ def scan_best_split(
             valid = sv[:-1] < sv[1:]
             if not valid.any():
                 continue
-            cum = np.cumsum(P[ord_blk], axis=0)[:-1]
-            lbest = (-2.0 * cum + counts * m2).min(axis=2)
-            rbest = (-2.0 * (s_tot - cum) + (m - counts) * m2).min(axis=2)
+            # one (m - 1, width) block per center, folded with np.minimum
+            cums = [np.cumsum(row[ord_blk], axis=0)[:-1] for row in PT]
+            lbest = reduce(np.minimum, (-2.0 * c + lm2[:, [j]] for j, c in enumerate(cums)))
+            rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + rm2[:, [j]] for j, c in enumerate(cums)))
             tot = np.where(valid, lbest + rbest, np.inf)
             s_min = tot.min(axis=0)
             t_star = (tot <= s_min + tol).argmax(axis=0)  # first near-tied row
             width = np.arange(cols.size)
             s_star = tot[t_star, width]
             # side labels only for each column's chosen row
-            cum_star = cum[t_star, width, :]
-            n_left = (t_star + 1.0)[:, None]
-            ll_vec = (-2.0 * cum_star + n_left * m2).argmin(axis=1)
-            rl_vec = (-2.0 * (s_tot - cum_star) + (m - n_left) * m2).argmin(axis=1)
+            cum_star = np.stack([cum[t_star, width] for cum in cums], axis=1)
+            ll_vec = (-2.0 * cum_star + lm2[t_star]).argmin(axis=1)
+            rl_vec = (-2.0 * (s_tot - cum_star) + rm2[t_star]).argmin(axis=1)
             for w in np.flatnonzero(np.isfinite(s_star)):
                 t = int(t_star[w])
                 entries.append(
@@ -207,11 +212,9 @@ class _ClusterAggregates:
 
     def __init__(self, pts: np.ndarray, labels: np.ndarray, k: int):
         self.count = np.bincount(labels, minlength=k).astype(np.int64)
-        self.sums = np.zeros((k, pts.shape[1]))
-        np.add.at(self.sums, labels, pts)
-        sq = np.einsum("ij,ij->i", pts, pts)
-        self.sumsq = np.zeros(k)
-        np.add.at(self.sumsq, labels, sq)
+        self.sums = cluster_sums(pts, labels, k)
+        # bincount adds in row order; a masked 1-D sum would be pairwise
+        self.sumsq = np.bincount(labels, weights=np.einsum("ij,ij->i", pts, pts), minlength=k)
 
     def move(self, block: np.ndarray, src: int, dst: int) -> None:
         """Move the points of `block` (rows) from cluster src to dst."""

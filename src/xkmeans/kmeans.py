@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost
+from xkmeans.core import Assignment, CenterSet, DataMatrix, cluster_sums, kmeans_cost
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeanspp_seed", "lloyd", "fit_reference"]
 
@@ -87,9 +87,7 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
 
 
 def _update_means(pts: np.ndarray, assign: np.ndarray, k: int, old: np.ndarray) -> np.ndarray:
-    d = pts.shape[1]
-    sums = np.zeros((k, d))
-    np.add.at(sums, assign, pts)
+    sums = cluster_sums(pts, assign, k)
     counts = np.bincount(assign, minlength=k)
     centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], old)
 

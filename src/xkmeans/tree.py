@@ -176,21 +176,15 @@ class ThresholdTree:
             stack += [(node.left, left), (node.right, right)]
         return dict(sorted(cells.items()))
 
-    def leaf_of_points(self, X: DataMatrix) -> np.ndarray:
-        """Leaf id per row of X."""
-        out = np.empty(X.n, dtype=np.int64)
-        for leaf, ids in self.cells(X).items():
-            out[ids] = leaf
-        return out
-
-    def induced_assignment(self, X: DataMatrix) -> Assignment:
-        """Cluster label per row of X, via routing and the leaf labeling."""
-        label_of = np.full(len(self.nodes), -1, dtype=np.int64)
-        for i in self.leaf_ids():
-            if self.nodes[i].label is None:
-                raise ValueError(f"leaf {i} is unlabeled")
-            label_of[i] = self.nodes[i].label
-        return Assignment(label_of[self.leaf_of_points(X)])
+    def induced_assignment(self, X: DataMatrix, cells: dict | None = None) -> Assignment:
+        """Cluster label per row of X, via the leaf labeling of `cells`, which
+        routes X when not given (pass `cells(X)` to route only once)."""
+        labels = np.empty(X.n, dtype=np.int64)
+        for leaf, ids in (self.cells(X) if cells is None else cells).items():
+            if self.nodes[leaf].label is None:
+                raise ValueError(f"leaf {leaf} is unlabeled")
+            labels[ids] = self.nodes[leaf].label
+        return Assignment(labels)
 
     # -- export ------------------------------------------------------------
 

@@ -1,8 +1,13 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xkmeans import core
 from xkmeans.core import (
     Assignment,
     CenterSet,
@@ -10,6 +15,7 @@ from xkmeans.core import (
     DataMatrix,
     accuracy,
     best_center,
+    cluster_sums,
     fixed_center_cost,
     kmeans_cost,
     load_csv,
@@ -294,3 +300,133 @@ def test_load_csv_rejects_empty_and_ragged_files(tmp_path):
     header_only.write_text("a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(header_only)
+
+
+# -- the one-pass CSV parse against the row-by-row parse ----------------------
+
+
+def load_both_ways(path, columns=None):
+    """(outcome, warnings) of `load_csv` and of the row-by-row parse alone,
+    where an outcome is the array's bytes and shape or the error's type and
+    text."""
+    results = []
+    for load in (load_csv, lambda p, c: DataMatrix(core._load_rows(Path(p), c))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                pts = load(path, columns).points
+                outcome = ("ok", pts.shape, pts.tobytes())
+            except ValueError as exc:
+                outcome = (type(exc).__name__, str(exc))
+        results.append((outcome, [(w.category, str(w.message)) for w in caught]))
+    return results
+
+
+_reprs = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_decimals = st.from_regex(r"[+-]?[0-9]{1,22}(\.[0-9]{0,22})?([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(_reprs | _decimals, min_size=d, max_size=d), min_size=1, max_size=8)
+    ),
+    st.booleans(),
+    st.none() | st.lists(st.integers(0, 5), min_size=1, max_size=4),
+)
+def test_loadtxt_matches_row_parse(rows, header, columns):
+    d = len(rows[0])
+    if columns is not None:
+        columns = [c % d for c in columns]
+    text = ("x" + ",y" * (d - 1) + "\n" if header else "") + "".join(",".join(r) + "\n" for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text)
+        fast = core._loadtxt(path, columns)  # well-formed: the one-pass parse must accept it
+        slow = core._load_rows(path, columns)
+    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+
+
+# name -> (file text, columns, whether the one-pass parse reads it)
+EDGE_FILES = {
+    "blank_lines": ("1,2\n\n3,4\n\n", None, True),
+    "blank_line_before_header": ("\n\na,b\n1,2\n3,4\n", None, True),
+    "whitespace_only_line": ("1,2\n   \n3,4\n", None, False),
+    "whitespace_only_line_one_column": ("1\n \n3\n", None, False),
+    "whitespace_only_first_line": ("  \n1,2\n3,4\n", None, True),
+    "hash_row": ("a,b\n1,2\n# note,3\n", None, False),
+    "hash_header": ("# a,b\n1,2\n", None, True),
+    "quoted_numbers": ('"1","2"\n"3","4"\n', None, False),
+    "quoted_header_with_newline": ('"a\nb",c\n1,2\n3,4\n', None, True),
+    "trailing_comma": ("1,2,\n3,4,\n", None, False),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", None, True),
+    "cr_only": ("a,b\r1,2\r3,4\r", None, True),
+    "padded_tokens": (" 1 , 2\n3 ,\t4 \n", None, True),
+    "nan_and_inf": ("1,nan\n2,inf\n", None, True),
+    "nan_outside_columns": ("1,nan\n2,-inf\n", [0], True),
+    "duplicate_columns": ("1,2,3\n4,5,6\n", [2, 0, 2], True),
+    "header_only": ("a,b\n", None, False),
+    "header_then_blank_lines": ("a,b\n\n\n", None, False),
+    "empty": ("", None, False),
+    "blank_only": ("\n\n", None, False),
+    "header_wider_than_data": ("a,b,c\n1,2\n3,4\n", None, True),
+    "ragged_longer_row": ("1,2\n3,4,5\n", None, False),
+    "ragged_shorter_row": ("1,2,3\n4,5\n", [0, 1], False),
+    "column_out_of_range": ("1,2\n3,4\n", [5], False),
+    "negative_column": ("1,2\n3,4\n", [-1], False),
+    "no_columns": ("1,2\n3,4\n", [], False),
+    "underscore_digits": ("1_0,2\n3,4\n", None, False),
+    "non_ascii_digits": ("١,2\n3,4\n", None, False),
+    "information_separator": ("1\x1c,2\n3,4\n", None, False),
+    "non_numeric_column": ("x,species\n1,setosa\n2,virginica\n", None, False),
+    "bom_header": ("﻿a,b\n1,2\n", None, True),
+    "bom_no_header": ("﻿1.5,2\n3,4\n", None, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_edge_files_load_the_same_both_ways(name, tmp_path):
+    text, columns, one_pass = EDGE_FILES[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = load_both_ways(path, columns)
+    assert got == want
+    try:
+        core._loadtxt(path, columns)
+        read = True
+    except ValueError:
+        read = False
+    assert read == one_pass
+
+
+def test_leading_bom_is_not_a_header(tmp_path):
+    # a BOM glued to the first token made it non-numeric, so the first data
+    # row was taken for a header and lost
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
+    assert load_csv(path).points.tolist() == [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,\n5,6\n")  # read row by row
+    with pytest.warns(UserWarning, match="dropping non-numeric columns: 1"):
+        assert load_csv(path).points.tolist() == [[1.5], [3.0], [5.0]]
+
+
+# -- per-cluster sums against the np.add.at scatter they replace --------------
+
+
+def add_at_sums(points, labels, k):
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, labels, points)
+    return sums
+
+
+@pytest.mark.parametrize("d", [1, 2, 1000])
+def test_cluster_sums_match_add_at_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for n, k in [(1, 1), (7, 3), (500, 4), (2000, 2)]:
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6) + rng.choice([0.0, 1e6])
+        labels = rng.integers(0, k, size=n)
+        if k > 1:
+            labels[labels == k - 1] = 0  # cluster k - 1 is empty
+        got = cluster_sums(pts, labels, k)
+        assert got.shape == (k, d)
+        assert got.tobytes() == add_at_sums(pts, labels, k).tobytes()

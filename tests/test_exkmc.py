@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,19 @@ from xkmeans.core import (
     kmeans_cost,
     surrogate_cost,
 )
-from xkmeans.exkmc import expand, root_tree, scan_best_split
+from xkmeans.exkmc import (
+    _BLOCK,
+    _REL_TOL,
+    SplitCandidate,
+    _block_ranges,
+    _ClusterAggregates,
+    expand,
+    root_tree,
+    scan_best_split,
+)
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
-from xkmeans.synth import gen_gaussian_blobs
+from xkmeans.synth import gen_gaussian_blobs, gen_synthetic_i
 from xkmeans.tree import ThresholdTree
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
@@ -380,3 +390,119 @@ def test_full_budget_expansion_reaches_nearest_assignment(n, d, k, seed):
     assert result.initial_kmeans_cost <= result.initial_surrogate + slack
     for step in result.trace:
         assert step.kmeans_cost <= step.surrogate_cost + slack
+
+
+def klast_best_split(points, M, *, leaf_id=-1, jobs=1):
+    """Reference for `scan_best_split`: the same scan with the k centers as
+    the last axis of each (points x block x k) array, reduced over that axis."""
+    points = np.asarray(points, dtype=np.float64)
+    m, d = points.shape
+    if m < 2:
+        return None
+    centers = M.centers
+    P = points @ centers.T
+    m2 = np.einsum("ij,ij->i", centers, centers)
+    s_tot = P.sum(axis=0)
+    sumsq = float(np.einsum("ij,ij->", points, points))
+    pre_score = float((-2.0 * s_tot + m * m2).min())
+    tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
+    order = np.argsort(points, axis=0, kind="stable")
+    counts = np.arange(1, m, dtype=np.float64)[:, None, None]
+
+    def scan_range(f0, f1):
+        entries = []
+        for c0 in range(f0, f1, _BLOCK):
+            cols = np.arange(c0, min(c0 + _BLOCK, f1))
+            ord_blk = order[:, cols]
+            sv = np.take_along_axis(points[:, cols], ord_blk, axis=0)
+            valid = sv[:-1] < sv[1:]
+            if not valid.any():
+                continue
+            cum = np.cumsum(P[ord_blk], axis=0)[:-1]
+            lbest = (-2.0 * cum + counts * m2).min(axis=2)
+            rbest = (-2.0 * (s_tot - cum) + (m - counts) * m2).min(axis=2)
+            tot = np.where(valid, lbest + rbest, np.inf)
+            s_min = tot.min(axis=0)
+            t_star = (tot <= s_min + tol).argmax(axis=0)
+            width = np.arange(cols.size)
+            s_star = tot[t_star, width]
+            cum_star = cum[t_star, width, :]
+            n_left = (t_star + 1.0)[:, None]
+            ll_vec = (-2.0 * cum_star + n_left * m2).argmin(axis=1)
+            rl_vec = (-2.0 * (s_tot - cum_star) + (m - n_left) * m2).argmin(axis=1)
+            for w in np.flatnonzero(np.isfinite(s_star)):
+                t = int(t_star[w])
+                entries.append(
+                    (float(s_star[w]), int(cols[w]), float(sv[t, w]), int(ll_vec[w]), int(rl_vec[w]))
+                )
+        return entries
+
+    if jobs <= 1:
+        found = scan_range(0, d)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            found = [e for chunk in pool.map(lambda r: scan_range(*r), _block_ranges(d, jobs)) for e in chunk]
+    if not found:
+        return None
+    cutoff = min(e[0] for e in found) + tol
+    score, feature, theta, ll, rl = min((e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2]))
+    post_cost = sumsq + score
+    gain = pre_score - score
+    if -tol < gain < 0.0:
+        gain = 0.0
+    if -tol < post_cost < 0.0:
+        post_cost = 0.0
+    return SplitCandidate(leaf_id, feature, theta, ll, rl, post_cost, gain)
+
+
+WIDTHS = [1, 63, 64, 65, 129]  # one column, and either side of the 64-feature block
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(WIDTHS),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+)
+def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
+    for jobs in (1, 2):
+        assert scan_best_split(pts, M, leaf_id=7, jobs=jobs) == klast_best_split(pts, M, leaf_id=7, jobs=jobs)
+
+
+@pytest.mark.parametrize("d", WIDTHS)
+def test_center_major_scan_matches_klast_on_outlier_cells(d):
+    X = gen_synthetic_i(seed=d, n=400, d=129)
+    ref = fit_reference(X, KMeansConfig(k=3, n_init=1, seed=d))
+    M = CenterSet(ref.centers.centers[:, :d])
+    pts = X.points[:, :d]
+    # with and without the two anchors, one cluster, and a 30-point cell
+    for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
+        for jobs in (1, 2):
+            got = scan_best_split(cell, M, leaf_id=1, jobs=jobs)
+            assert got == klast_best_split(cell, M, leaf_id=1, jobs=jobs)
+
+
+def add_at_aggregates(pts, labels, k):
+    sums = np.zeros((k, pts.shape[1]))
+    np.add.at(sums, labels, pts)
+    sumsq = np.zeros(k)
+    np.add.at(sumsq, labels, np.einsum("ij,ij->i", pts, pts))
+    return sums, sumsq
+
+
+@pytest.mark.parametrize("d", [1, 2, 1000])
+def test_cluster_aggregates_match_add_at_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    k = 3
+    for n in (1, 40, 1200):
+        pts = rng.normal(size=(n, d)) * 1e4 + rng.choice([0.0, 1e6])
+        labels = rng.integers(0, k - 1, size=n)  # cluster k - 1 stays empty
+        agg = _ClusterAggregates(pts, labels, k)
+        sums, sumsq = add_at_aggregates(pts, labels, k)
+        assert agg.sums.shape == (k, d) and agg.sums.tobytes() == sums.tobytes()
+        assert agg.sumsq.tobytes() == sumsq.tobytes()
+        assert agg.count.tolist() == np.bincount(labels, minlength=k).tolist()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost
-from xkmeans.kmeans import KMeansConfig, fit_reference, kmeanspp_seed, lloyd
+from xkmeans.kmeans import KMeansConfig, _update_means, fit_reference, kmeanspp_seed, lloyd
 from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_ii
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
@@ -138,3 +138,34 @@ class TestFitReference:
         X, _ = gen_gaussian_blobs(2, 30, 2, separation=8.0, seed=6)
         ref = fit_reference(X, KMeansConfig(k=2, seed=77))
         assert ref.centers.seed == 77 and ref.centers.source == "kmeans++"
+
+
+def add_at_update_means(pts, assign, k, old):
+    """The mean update as a scatter-add: the reference for `_update_means`."""
+    sums = np.zeros((k, pts.shape[1]))
+    np.add.at(sums, assign, pts)
+    counts = np.bincount(assign, minlength=k)
+    centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], old)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size:
+        dist = np.einsum("ij,ij->i", pts - centers[assign], pts - centers[assign])
+        for j in empties:
+            p = int(np.argmax(dist))
+            centers[j] = pts[p]
+            dist[p] = -1.0
+    return centers
+
+
+@pytest.mark.parametrize("d", [1, 2, 1000])
+@pytest.mark.parametrize("empty", [False, True])
+def test_update_means_matches_add_at_bit_for_bit(d, empty):
+    rng = np.random.default_rng(d)
+    k = 4
+    for n in (5, 300, 1500):
+        pts = rng.normal(size=(n, d)) * 1e3 + rng.choice([0.0, 1e7])
+        assign = rng.integers(0, k, size=n)
+        if empty:
+            assign[assign >= 2] = 0  # clusters 2 and 3 are empty and get reseeded
+        old = rng.normal(size=(k, d))
+        got = _update_means(pts, assign, k, old.copy())
+        assert got.tobytes() == add_at_update_means(pts, assign, k, old.copy()).tobytes()
