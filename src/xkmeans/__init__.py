@@ -20,10 +20,8 @@ from xkmeans.core import (
     CostReport,
     DataMatrix,
     accuracy,
-    fixed_center_cost,
     kmeans_cost,
     load_csv,
-    squared_distance,
     surrogate_cost,
 )
 from xkmeans.exkmc import ExpandResult, SplitCandidate, expand, root_tree, scan_best_split

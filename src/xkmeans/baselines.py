@@ -3,7 +3,9 @@ gini-impurity classification tree trained on the reference labels.
 
 Both share the threshold-tree routing rule and the value-anchored candidate
 canon used by the expansion scan (distinct point values, excluding each
-feature's max), so their clusterings are directly comparable.
+feature's max), so their clusterings are directly comparable. Both grow
+best-first through `tree.grow`, as the expansion does: kd by cell size,
+gini by impurity decrease.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center
-from xkmeans.tree import ThresholdTree, split_cell
+from xkmeans.tree import ThresholdTree, grow
 
 __all__ = ["build_kdtree", "build_gini_tree"]
 
@@ -41,23 +43,15 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     cheapest reference center as it is made."""
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
-    tree = ThresholdTree(root_label=best_center(X.points, M)[0])
-    # splittable leaf -> (feature, threshold, its point ids)
-    splittable: dict[int, tuple[int, float, np.ndarray]] = {}
-    split = _kd_split(X.points)
-    if split is not None:
-        splittable[tree.root] = (*split, np.arange(X.n))
+    tree = ThresholdTree()
 
-    while tree.leaf_count < max_leaves and splittable:
-        leaf = max(splittable, key=lambda i: (splittable[i][2].size, -i))
-        feature, theta, ids = splittable.pop(leaf)
-        children = tree.split_leaf(leaf, feature, theta, None, None)
-        for child, child_ids in zip(children, split_cell(X, ids, feature, theta)):
-            cell = X.points[child_ids]
-            tree.set_leaf_label(child, best_center(cell, M)[0])
-            child_split = _kd_split(cell)
-            if child_split is not None:
-                splittable[child] = (*child_split, child_ids)
+    def propose(leaf, ids, points):
+        tree.set_leaf_label(leaf, best_center(points, M)[0])
+        split = _kd_split(points)
+        return None if split is None else (ids.size, *split)
+
+    for _ in grow(X, tree, max_leaves, propose):
+        pass
     return tree
 
 
@@ -114,21 +108,13 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
     labels = reference.labels
     n_labels = int(labels.max()) + 1 if labels.size else 1
 
-    tree = ThresholdTree(root_label=_majority(labels, n_labels))
-    # frontier leaf -> (impurity decrease, feature, threshold, its point ids)
-    frontier: dict[int, tuple[float, int, float, np.ndarray]] = {}
-    split = _gini_split(X.points, labels, n_labels)
-    if split is not None:
-        frontier[tree.root] = (*split, np.arange(X.n))
+    tree = ThresholdTree()
 
-    while tree.leaf_count < max_leaves and frontier:
-        leaf = max(frontier, key=lambda i: (frontier[i][0], -i))
-        _, feature, theta, ids = frontier.pop(leaf)
-        children = tree.split_leaf(leaf, feature, theta, None, None)
-        for child, child_ids in zip(children, split_cell(X, ids, feature, theta)):
-            child_labels = labels[child_ids]
-            tree.set_leaf_label(child, _majority(child_labels, n_labels))
-            child_split = _gini_split(X.points[child_ids], child_labels, n_labels)
-            if child_split is not None:
-                frontier[child] = (*child_split, child_ids)
+    def propose(leaf, ids, points):
+        cell_labels = labels[ids]
+        tree.set_leaf_label(leaf, _majority(cell_labels, n_labels))
+        return _gini_split(points, cell_labels, n_labels)
+
+    for _ in grow(X, tree, max_leaves, propose):
+        pass
     return tree

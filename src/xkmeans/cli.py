@@ -71,6 +71,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {', '.join(unknown)}; choose from {', '.join(METHODS)}")
+        if "exkmc_imm" in self.methods and self.budgets[0] < self.k:
+            # the IMM base tree always has exactly k leaves
+            raise ValueError(f"budget {self.budgets[0]} is below the base tree's {self.k} leaves")
         if self.kmeans is None:
             self.kmeans = KMeansConfig(k=self.k, seed=self.seed)
 
@@ -162,10 +165,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         elif method in ("exkmc", "exkmc_imm"):
             base = imm_base if method == "exkmc_imm" else root_tree(X, reference.centers)
             base_leaves = base.leaf_count
-            if config.budgets[0] < base_leaves:
-                raise ValueError(
-                    f"budget {config.budgets[0]} is below the base tree's {base_leaves} leaves"
-                )
             result = expand(X, reference.centers, base, largest, jobs=config.jobs)
             full, trace = result.tree, result.trace
         elif method == "kdtree":

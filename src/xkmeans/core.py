@@ -22,9 +22,7 @@ __all__ = [
     "CenterSet",
     "Assignment",
     "CostReport",
-    "squared_distance",
     "kmeans_cost",
-    "fixed_center_cost",
     "surrogate_cost",
     "best_center",
     "accuracy",
@@ -150,16 +148,6 @@ class CostReport:
         )
 
 
-def squared_distance(p, q) -> float:
-    """Squared Euclidean distance between two equal-dimension vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    diff = p - q
-    return float(np.dot(diff, diff))
-
-
 def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
     """Sum of squared distances of each point to its cluster mean.
 
@@ -177,19 +165,6 @@ def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
         mu = cluster.mean(axis=0)
         total += float(((cluster - mu) ** 2).sum())
     return total
-
-
-def fixed_center_cost(X: DataMatrix, subset, mu) -> float:
-    """Sum of squared distances from a subset of points to one fixed center."""
-    ids = np.asarray(subset, dtype=np.int64)
-    if ids.size == 0:
-        return 0.0
-    if ids.min() < 0 or ids.max() >= X.n:
-        raise ValueError("point id out of range")
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (X.d,):
-        raise ValueError(f"center has dimension {mu.shape}, expected ({X.d},)")
-    return float(((X.points[ids] - mu) ** 2).sum())
 
 
 def best_center(points, M: CenterSet) -> tuple[int, float]:

@@ -1,10 +1,12 @@
 """Greedy tree expansion under a fixed-center surrogate cost.
 
-The expansion loop repeatedly splits the leaf whose best split buys the
+The expansion repeatedly splits the leaf whose best split buys the
 largest drop in surrogate cost, relabels the two children with their best
 reference centers, and rescans only those children. Because the centers
 never move, the per-leaf costs are independent and the whole loop needs no
-global recomputation.
+global recomputation. The loop itself is `tree.grow`, with the scan gain as
+each leaf's priority; `expand` prices and labels each new cell and records
+each step in the trace.
 
 The split scan avoids evaluating every (threshold, center) pair from
 scratch. For a cell C and center mu,
@@ -29,12 +31,11 @@ from typing import Callable
 import numpy as np
 
 from xkmeans.core import CenterSet, DataMatrix, best_center, cluster_sums
-from xkmeans.tree import ThresholdTree, split_cell
+from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
     "SplitCandidate",
     "TraceStep",
-    "ExpansionState",
     "ExpandResult",
     "scan_best_split",
     "root_tree",
@@ -80,18 +81,6 @@ class TraceStep:
             "surrogate_cost": self.surrogate_cost,
             "kmeans_cost": self.kmeans_cost,
         }
-
-
-@dataclass
-class ExpansionState:
-    """Mutable view of an in-progress expansion, passed to stop callbacks."""
-
-    tree: ThresholdTree
-    centers: CenterSet
-    gains: dict[int, SplitCandidate | None]
-    trace: list[TraceStep]
-    surrogate_cost: float
-    kmeans_cost: float
 
 
 @dataclass(frozen=True)
@@ -243,7 +232,7 @@ def expand(
     base: ThresholdTree,
     k_prime: int,
     jobs: int = 1,
-    stop_condition: Callable[[ExpansionState], bool] | None = None,
+    stop_condition: Callable[[TraceStep], bool] | None = None,
 ) -> ExpandResult:
     """Grow `base` to k_prime leaves by repeatedly taking the max-gain split.
 
@@ -253,7 +242,7 @@ def expand(
     be any tree whose leaves are labeled (a lone unlabeled root gets the best
     center): built, cut with `prefix` or loaded with `from_json`, since its
     cells come from routing X. The input tree is not modified.
-    `stop_condition`, when given, is checked after every step and ends the
+    `stop_condition`, when given, sees each step as it is taken and ends the
     expansion early when it returns True.
     """
     if M.d != X.d:
@@ -268,74 +257,47 @@ def expand(
         if tree.node(i).label is None:
             raise ValueError(f"base leaf {i} is unlabeled")
 
-    pts = X.points
-    cells = tree.cells(X)
     leaf_cost: dict[int, float] = {}
-    gains: dict[int, SplitCandidate | None] = {}
     labels = np.empty(X.n, dtype=np.int64)
-    for i, ids in cells.items():
-        cell = pts[ids]
-        leaf_cost[i] = best_center(cell, M)[1]
-        gains[i] = scan_best_split(cell, M, leaf_id=i, jobs=jobs)
-        labels[ids] = tree.node(i).label
 
-    agg = _ClusterAggregates(pts, labels, M.k)
-    surrogate = float(sum(leaf_cost.values()))
-    kcost = agg.cost()
+    def propose(leaf, ids, points):
+        label, leaf_cost[leaf] = best_center(points, M)
+        parent = tree.node(leaf).label
+        if parent is None:  # a new child, whose points all carry the parent's label
+            parent = labels[ids[0]]
+            tree.set_leaf_label(leaf, label)
+            if label != parent:
+                agg.move(points, parent, label)
+                labels[ids] = label
+        else:
+            labels[ids] = parent
+        cand = scan_best_split(points, M, leaf_id=leaf, jobs=jobs)
+        return None if cand is None else (cand.gain, cand.feature, cand.threshold)
+
+    splits = grow(X, tree, k_prime, propose)
+    # grow proposed every base leaf before returning, so `labels` is complete
+    agg = _ClusterAggregates(X.points, labels, M.k)
+    initial_surrogate = float(sum(leaf_cost.values()))
+    initial_kmeans = agg.cost()
+
     trace: list[TraceStep] = []
-    state = ExpansionState(tree, M, gains, trace, surrogate, kcost)
-    initial_surrogate, initial_kmeans = surrogate, kcost
-
-    stop_reason = "budget"
-    step = 0
-    while tree.leaf_count < k_prime:
-        best_leaf = None
-        for i, cand in gains.items():
-            if cand is None:
-                continue
-            if best_leaf is None or cand.gain > gains[best_leaf].gain:
-                best_leaf = i
-        if best_leaf is None:
-            stop_reason = "no_split"
-            break
-
-        cand = gains.pop(best_leaf)
-        old_label = tree.node(best_leaf).label
-        left_ids, right_ids = split_cell(X, cells.pop(best_leaf), cand.feature, cand.threshold)
-        left, right = pts[left_ids], pts[right_ids]
-        ll, lc = best_center(left, M)
-        rl, rc = best_center(right, M)
-        lid, rid = tree.split_leaf(best_leaf, cand.feature, cand.threshold, ll, rl)
-        cells[lid], cells[rid] = left_ids, right_ids
-        if ll != old_label:
-            agg.move(left, old_label, ll)
-            labels[left_ids] = ll
-        if rl != old_label:
-            agg.move(right, old_label, rl)
-            labels[right_ids] = rl
-
-        prev_cost = leaf_cost.pop(best_leaf)
-        leaf_cost[lid] = lc
-        leaf_cost[rid] = rc
-        gains[lid] = scan_best_split(left, M, leaf_id=lid, jobs=jobs)
-        gains[rid] = scan_best_split(right, M, leaf_id=rid, jobs=jobs)
-
-        surrogate = float(sum(leaf_cost.values()))
-        kcost = agg.cost()
+    for leaf in splits:
+        node = tree.node(leaf)
+        lc, rc = leaf_cost[node.left], leaf_cost[node.right]
+        prev_cost = leaf_cost.pop(leaf)
         gain = prev_cost - (lc + rc)
         if -_REL_TOL * max(1.0, abs(prev_cost)) < gain < 0.0:
             gain = 0.0
-        step += 1
-        trace.append(
-            TraceStep(
-                step, best_leaf, cand.feature, cand.threshold, ll, rl,
-                gain, surrogate, kcost,
-            )
+        step = TraceStep(
+            len(trace) + 1, leaf, node.feature, node.threshold,
+            tree.node(node.left).label, tree.node(node.right).label,
+            gain, float(sum(leaf_cost.values())), agg.cost(),
         )
-        state.surrogate_cost = surrogate
-        state.kmeans_cost = kcost
-        if stop_condition is not None and stop_condition(state):
+        trace.append(step)
+        if stop_condition is not None and stop_condition(step):
             stop_reason = "callback"
             break
+    else:
+        stop_reason = "budget" if tree.leaf_count >= k_prime else "no_split"
 
     return ExpandResult(tree, tuple(trace), initial_surrogate, initial_kmeans, stop_reason)

@@ -28,7 +28,7 @@ import numpy as np
 from xkmeans.core import Assignment, CenterSet, DataMatrix
 from xkmeans.tree import ThresholdTree, split_cell
 
-__all__ = ["ImmNodeState", "count_mistakes", "best_mistake_split", "build_imm"]
+__all__ = ["ImmNodeState", "best_mistake_split", "build_imm"]
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,6 @@ class ImmNodeState:
 
     point_ids: np.ndarray
     center_ids: np.ndarray
-
-
-def count_mistakes(points, labels, centers, feature: int, threshold: float) -> int:
-    """Number of points routed to the opposite side of their own center.
-
-    `labels` index rows of `centers`; every labeled center is assumed to
-    be present at the node under consideration.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if points.shape[0] != labels.shape[0]:
-        raise ValueError("one label per point required")
-    p = points[:, feature] <= threshold
-    c = centers[labels, feature] <= threshold
-    return int(np.sum(p != c))
 
 
 def best_mistake_split(

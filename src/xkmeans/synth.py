@@ -126,6 +126,8 @@ def gen_gaussian_blobs(
 
     scale = max(separation, 1.0) * k
     for _ in range(200):
+        if not np.isfinite(2 * scale):  # the width of [-scale, scale]
+            raise ValueError(f"blob separation {separation!r} leaves no finite box for the centers")
         centers = rng.uniform(-scale, scale, size=(k, d))
         if k == 1:
             break

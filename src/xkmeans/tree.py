@@ -1,9 +1,13 @@
 """The threshold tree: feature-threshold nodes and the labels of their leaves.
 
 The tree holds structure only. Which points sit in which cell is state of
-the builder that grows it: each builder keeps its own {leaf id: point ids}
-and splits a cell with `split_cell`, the mask that routing also applies.
-Any tree, built, cut or loaded, gives the cells of a dataset with `cells`.
+the builder that grows it, and `grow` is the one growth loop every greedy
+builder runs: it keeps the frontier's cells, splits them with `split_cell`
+(the mask that routing also applies), and asks the builder's callback to
+label each new leaf and propose its split. It splits best-first, popping a
+heap keyed on (-priority, leaf id); leaf ids only grow, so among equal
+priorities the oldest leaf goes first. Any tree, built, cut or loaded,
+gives the cells of a dataset with `cells`.
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable list indices (the root is always node 0) and are never reused;
@@ -15,20 +19,64 @@ it had as a leaf, so such a prefix is read off without relabeling (`prefix`).
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
 from xkmeans.core import Assignment, DataMatrix
 
-__all__ = ["Node", "ThresholdTree", "split_cell"]
+__all__ = ["Node", "ThresholdTree", "split_cell", "grow"]
 
 
 def split_cell(X: DataMatrix, ids: np.ndarray, feature: int, threshold: float):
     """The point ids of a cell that route left and right, in input order."""
     mask = X.points[ids, feature] <= threshold
     return ids[mask], ids[~mask]
+
+
+def grow(
+    X: DataMatrix,
+    tree: ThresholdTree,
+    max_leaves: int,
+    propose: Callable[[int, np.ndarray, np.ndarray], tuple[float, int, float] | None],
+) -> Iterator[int]:
+    """Grow `tree` best-first toward `max_leaves` leaves.
+
+    `propose(leaf, ids, points)` is called once for every leaf: for each
+    leaf of `tree` as given, before `grow` returns, and for each child as it
+    is made, left first. It labels the leaf (a child is made unlabeled) and
+    returns (priority, feature, threshold) for the cell's split, or None
+    when the cell cannot split. `points` are the rows `ids` of X, and
+    `X.points` itself for a cell that holds the whole dataset, never a copy.
+
+    Each item of the returned iterator is one split, of the frontier leaf
+    with the highest priority (ties: lowest leaf id), and is that leaf's id,
+    yielded once both children are proposed. Growth ends when the tree has
+    `max_leaves` leaves or no leaf can split, or when the caller stops.
+    """
+    frontier = []  # (-priority, leaf id, feature, threshold, point ids)
+
+    def visit(leaf: int, ids: np.ndarray) -> None:
+        split = propose(leaf, ids, X.points if ids.size == X.n else X.points[ids])
+        if split is not None:
+            priority, feature, threshold = split
+            heapq.heappush(frontier, (-priority, leaf, feature, threshold, ids))
+
+    for leaf, ids in tree.cells(X).items():
+        visit(leaf, ids)
+
+    def splits() -> Iterator[int]:
+        while frontier and tree.leaf_count < max_leaves:
+            _, leaf, feature, threshold, ids = heapq.heappop(frontier)
+            children = tree.split_leaf(leaf, feature, threshold, None, None)
+            for child, child_ids in zip(children, split_cell(X, ids, feature, threshold)):
+                visit(child, child_ids)
+            yield leaf
+
+    return splits()
 
 
 @dataclass
@@ -136,17 +184,6 @@ class ThresholdTree:
         need = self.required_dim()
         if d < need:
             raise ValueError(f"point has dimension {d}, tree tests feature {need - 1}")
-
-    def route(self, x) -> int:
-        """Leaf id a single point lands in; boundary values go left."""
-        x = np.asarray(x, dtype=np.float64)
-        self._check_dim(x.shape[-1] if x.ndim else 0)
-        i = self.root
-        node = self.nodes[i]
-        while not node.is_leaf:
-            i = node.left if x[node.feature] <= node.threshold else node.right
-            node = self.nodes[i]
-        return i
 
     def decision_path(self, x) -> tuple[list[tuple[int, float, str]], int | None]:
         """Root-to-leaf conditions for one point, plus the leaf label."""

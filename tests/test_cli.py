@@ -229,14 +229,27 @@ def test_cross_budget_surrogate_is_non_increasing(tmp_path):
 
 
 def test_budget_below_base_leaves_fails_cleanly(tmp_path, capsys):
+    # default methods: exkmc runs before exkmc_imm, and must write nothing
     data = tmp_path / "blobs.csv"
     write_blob_csv(data, k=3)
-    code = main(
-        ["run", "--data", str(data), "--k", "3", "--leaves", "2",
-         "--methods", "exkmc_imm", "--out", str(tmp_path / "out")]
-    )
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(data), "--k", "3", "--leaves", "2,4", "--out", str(out)])
     assert code == 1
     assert "below the base tree" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("separation", ["nan", "inf", "1e308"])
+def test_non_finite_blob_box_exit_code(tmp_path, capsys, separation):
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--synth", "blobs", "--k", "3", "--d", "2", "--n", "30",
+         "--separation", separation, "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
 
 
 BAD_BUDGETS = "leaf budgets must be at least 1 and strictly ascending"

@@ -16,10 +16,8 @@ from xkmeans.core import (
     accuracy,
     best_center,
     cluster_sums,
-    fixed_center_cost,
     kmeans_cost,
     load_csv,
-    squared_distance,
     surrogate_cost,
 )
 
@@ -38,6 +36,12 @@ def brute_kmeans_cost(points, labels):
     return total
 
 
+def fixed_center_cost(X, subset, mu):
+    """Sum of squared distances from the points `subset` of X to one center."""
+    diff = X.points[np.asarray(subset, dtype=np.int64)] - np.asarray(mu, dtype=np.float64)
+    return float((diff**2).sum())
+
+
 def brute_surrogate(points, cells, centers):
     total = 0.0
     for cell in cells:
@@ -49,21 +53,6 @@ def brute_surrogate(points, cells, centers):
         )
         total += best
     return total
-
-
-class TestSquaredDistance:
-    def test_identity(self):
-        assert squared_distance((0, 0), (0, 0)) == 0.0
-
-    def test_three_four_five(self):
-        assert squared_distance((0, 0), (3, 4)) == 25.0
-
-    def test_unit_cube_diagonal(self):
-        assert squared_distance((1, 1, 1), (0, 0, 0)) == 3.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            squared_distance((1, 2), (1, 2, 3))
 
 
 class TestKMeansCost:

@@ -264,24 +264,11 @@ class TestExpand:
         for step in result.trace[purity_step + 1 :]:
             assert step.gain <= 1e-9 * max(1.0, result.initial_surrogate)
 
-    def test_gain_table_tracks_leaves(self):
-        X, ref = self.blob_fit(7)
-        base = build_imm(X, ref.centers, ref.assignment)
-
-        def check(state):
-            assert sorted(state.gains.keys()) == sorted(state.tree.leaf_ids())
-            for leaf, cand in state.gains.items():
-                if cand is not None:
-                    assert cand.leaf_id == leaf
-            return False
-
-        expand(X, ref.centers, base, 9, stop_condition=check)
-
     def test_stop_condition_halts_expansion(self):
         X, ref = self.blob_fit(8)
         base = build_imm(X, ref.centers, ref.assignment)
         result = expand(
-            X, ref.centers, base, X.n, stop_condition=lambda s: len(s.trace) >= 2
+            X, ref.centers, base, X.n, stop_condition=lambda s: s.step >= 2
         )
         assert len(result.trace) == 2
         assert result.stop_reason == "callback"

@@ -23,6 +23,9 @@ IRIS = str(files("xkmeans").joinpath("data/iris.csv"))
 
 CASES = {
     "iris": ["--data", IRIS, "--k", "3", "--leaves", "k,2k"],
+    # k' = n: Iris has 149 distinct points, so exkmc, exkmc_imm and kdtree
+    # stop at 149 leaves on zero-gain ties and gini_tree at 5
+    "iris_deep": ["--data", IRIS, "--k", "3", "--leaves", "k,40,150"],
     "blobs_1d": ["--synth", "blobs", "--k", "3", "--d", "1", "--n", "300", "--leaves", "k,2k,4k"],
     "blobs_2d": ["--synth", "blobs", "--k", "4", "--d", "2", "--n", "300", "--leaves", "k,2k,4k"],
 }
@@ -133,6 +136,45 @@ GOLDEN = {
         "tree_kdtree_k3.json": "c8199766f5ca949c1e03a0dcebc9744f010e04939f087de0fea7eb2c93f33a0a",
         "tree_kdtree_k6.dot": "ac5063670e6445f17ff7344ba42dc43d235df383712eb87883982c9fed06a0bb",
         "tree_kdtree_k6.json": "11f2e8974adfc9a47d817504e2605ac93af8a3fdb546bf8da3ddda697bf856c4"
+    },
+    "iris_deep": {
+        "results.csv": "36d917ec906f8c3bd69dcb6285394ffae01428b94c60317791a404bb0b57de9f",
+        "trace_exkmc_imm_k150.jsonl": "8e22280f655e95c1e09250fc955f028ea89d4701f99e058dc26dfeee2522ec94",
+        "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trace_exkmc_imm_k40.jsonl": "7533bbfa5385f1633ab5509de47625eefc12552fa42e72e5ce2b6cc1e1781ddf",
+        "trace_exkmc_k150.jsonl": "1429c4190472d7fae4ab228271f5a26e052efdda3920f74c811891d009b4569d",
+        "trace_exkmc_k3.jsonl": "7fdaab69daddff28c373e9fa696f6035a8f33889772527b0a4ffd805f07b8923",
+        "trace_exkmc_k40.jsonl": "8d6e428b3ae87a783ecefa764c8bffa0db8a94769ef97bd6716938dd951df470",
+        "tree_exkmc_imm_k150.dot": "5a9b0ad75a82baa4f0466341e5f196051043e00cebbb7ed8aaf73e7ff0058671",
+        "tree_exkmc_imm_k150.json": "0f2b19169fde1f9e2554c3bb24ad974f90dbeb9400d8cd9660e9f75d7a4866f6",
+        "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_exkmc_imm_k40.dot": "0666e8510fc86eaede43bdecd0b98a62acdd032b47928d3556e75ab1b0573a51",
+        "tree_exkmc_imm_k40.json": "3b1019d93a30f0e219bb52666ab722a77601c6bed6ccd57529d6e1587cf97254",
+        "tree_exkmc_k150.dot": "5a9b0ad75a82baa4f0466341e5f196051043e00cebbb7ed8aaf73e7ff0058671",
+        "tree_exkmc_k150.json": "0f2b19169fde1f9e2554c3bb24ad974f90dbeb9400d8cd9660e9f75d7a4866f6",
+        "tree_exkmc_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_exkmc_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_exkmc_k40.dot": "0666e8510fc86eaede43bdecd0b98a62acdd032b47928d3556e75ab1b0573a51",
+        "tree_exkmc_k40.json": "3b1019d93a30f0e219bb52666ab722a77601c6bed6ccd57529d6e1587cf97254",
+        "tree_gini_tree_k150.dot": "ab5629ec4e06b0f342dee0621116d95e65f10a565500f35c1bac4a992affe109",
+        "tree_gini_tree_k150.json": "722d13b81358ebc8ccacb89e499cedea5d1785cbea13696a0d34c383235931f0",
+        "tree_gini_tree_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_gini_tree_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_gini_tree_k40.dot": "ab5629ec4e06b0f342dee0621116d95e65f10a565500f35c1bac4a992affe109",
+        "tree_gini_tree_k40.json": "722d13b81358ebc8ccacb89e499cedea5d1785cbea13696a0d34c383235931f0",
+        "tree_imm_k150.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_imm_k150.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_imm_k40.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
+        "tree_imm_k40.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
+        "tree_kdtree_k150.dot": "321cabbdcbd393ad33cf7e9e729b75064ed9ec712f80e2eb9bbade732ed61312",
+        "tree_kdtree_k150.json": "61efcda650067cef903e41271eeab3f1c3a0419d24e9f0374f10fc1656a9b977",
+        "tree_kdtree_k3.dot": "dc996082cc50da1879594e9bfb2dd3690620ce072145650b2a06ce2fb16fcf90",
+        "tree_kdtree_k3.json": "c8199766f5ca949c1e03a0dcebc9744f010e04939f087de0fea7eb2c93f33a0a",
+        "tree_kdtree_k40.dot": "a1a139880c771b7dd3943e22345a3581274c7a77c24310293c817d560b49d02b",
+        "tree_kdtree_k40.json": "e489e03868a9e6e53a42283cca22a4200b4b47d006a4e1c29f68341c7dac003f"
     }
 }
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from xkmeans import imm
 from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost, load_csv
-from xkmeans.imm import ImmNodeState, best_mistake_split, build_imm, count_mistakes
+from xkmeans.imm import ImmNodeState, best_mistake_split, build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import (
     SyntheticIISpec,
@@ -121,6 +121,20 @@ def dense_best_mistake_split(X, M, reference, state):
     return feature, theta, mistakes
 
 
+def count_mistakes(points, labels, centers, feature: int, threshold: float) -> int:
+    """Number of points routed to the opposite side of their own center.
+
+    `labels` index rows of `centers`; every labeled center is assumed to
+    be present at the node under consideration.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    centers = np.asarray(centers, dtype=np.float64)
+    p = points[:, feature] <= threshold
+    c = centers[labels, feature] <= threshold
+    return int(np.sum(p != c))
+
+
 def nearest_assignment(X, M):
     d2 = ((X.points[:, None, :] - M.centers[None, :, :]) ** 2).sum(axis=2)
     return Assignment(np.argmin(d2, axis=1))
@@ -206,6 +220,7 @@ class TestBestMistakeSplit:
             want = brute_best_split(pts, ref.labels, centers, list(range(k)))
             assert want is not None
             assert got[0] == want[1] and got[1] == want[2] and got[2] == want[0]
+            assert got[2] == count_mistakes(pts, ref.labels, centers, got[0], got[1])
 
 
 class TestBuildImm:

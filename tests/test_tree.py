@@ -5,7 +5,7 @@ import pytest
 
 from xkmeans.core import DataMatrix
 from xkmeans.synth import gen_gaussian_blobs
-from xkmeans.tree import ThresholdTree
+from xkmeans.tree import ThresholdTree, grow
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
 
@@ -22,14 +22,17 @@ def fig_tree():
 class TestRoute:
     def test_single_leaf(self):
         tree = ThresholdTree(root_label=0)
-        for x in [(0, 0), (100, -5)]:
-            assert tree.route(x) == 0
+        cells = tree.cells(DataMatrix([(0, 0), (100, -5)]))
+        assert {leaf: ids.tolist() for leaf, ids in cells.items()} == {0: [0, 1]}
 
     def test_boundary_goes_left(self):
         tree = ThresholdTree()
         left, right = tree.split_leaf(0, 0, 0.5, 0, 1)
-        assert tree.route((0.5, 9.0)) == left
-        assert tree.route((0.500001, 9.0)) == right
+        cells = tree.cells(DataMatrix([(0.5, 9.0), (0.500001, 9.0)]))
+        assert cells[left].tolist() == [0]
+        assert cells[right].tolist() == [1]
+        assert tree.decision_path((0.5, 9.0)) == ([(0, 0.5, "left")], 0)
+        assert tree.decision_path((0.500001, 9.0)) == ([(0, 0.5, "right")], 1)
 
 
 class TestInducedAssignment:
@@ -167,7 +170,7 @@ class TestExport:
         b = restored.induced_assignment(X)
         assert np.array_equal(a.labels, b.labels)
         for row in X.points[:10]:
-            assert tree.route(row) == restored.route(row)
+            assert tree.decision_path(row) == restored.decision_path(row)
 
     def test_json_schema_field_order(self):
         tree = ThresholdTree()
@@ -177,6 +180,39 @@ class TestExport:
             '{"nodes": [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2},'
             ' {"label": 0}, {"label": 1}]}'
         )
+
+
+@pytest.mark.parametrize(
+    "max_leaves, splits",
+    [
+        (1, []),  # the budget stops growth before any split
+        (3, [0, 1]),
+        (100, [0, 1, 2, 3, 4, 5, 6]),  # stops once no cell can split: 8 singletons
+    ],
+    ids=["budget_one", "budget_three", "until_unsplittable"],
+)
+def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits):
+    X = DataMatrix(np.arange(8.0)[:, None])
+    tree = ThresholdTree()
+    visited = []
+
+    def propose(leaf, ids, points):
+        visited.append(leaf)
+        tree.set_leaf_label(leaf, 0)
+        if ids.size == X.n:
+            assert points is X.points  # the whole dataset is never copied
+        else:
+            assert np.array_equal(points, X.points[ids])
+        if ids.size < 2:
+            return None
+        # equal priorities everywhere: the lowest leaf id must go first
+        return 1.0, 0, float(points[(ids.size - 1) // 2, 0])
+
+    steps = grow(X, tree, max_leaves, propose)
+    assert visited == [0]  # the starting leaves are proposed before grow returns
+    assert list(steps) == splits
+    assert tree.leaf_count == len(splits) + 1 <= max_leaves
+    assert sorted(visited) == list(range(len(tree.nodes)))
 
 
 class TestPrefix:
