@@ -5,14 +5,17 @@ Both share the threshold-tree routing rule and the value-anchored candidate
 canon used by the expansion scan (distinct point values, excluding each
 feature's max), so their clusterings are directly comparable. Both grow
 best-first through `tree.grow`, as the expansion does: kd by cell size,
-gini by impurity decrease.
+gini by impurity decrease, searched with the expansion's `prefix_scan`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center
+from xkmeans.exkmc import prefix_scan
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = ["build_kdtree", "build_gini_tree"]
@@ -45,9 +48,9 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
         raise ValueError("max_leaves must be at least 1")
     tree = ThresholdTree()
 
-    def propose(leaf, ids, points):
+    def propose(leaf, ids, points, splittable):
         tree.set_leaf_label(leaf, best_center(points, M)[0])
-        split = _kd_split(points)
+        split = _kd_split(points) if splittable else None
         return None if split is None else (ids.size, *split)
 
     for _ in grow(X, tree, max_leaves, propose):
@@ -65,33 +68,25 @@ def _gini_of_counts(counts: np.ndarray, total: int) -> float:
 def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     """Count-weighted impurity decrease of the best split, or None for a
     pure or unsplittable leaf. Ties go to the lowest (feature, threshold)."""
-    m, d = points.shape
+    m = points.shape[0]
     total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
-    if (total_counts > 0).sum() <= 1:
+    present = np.flatnonzero(total_counts)
+    if present.size <= 1:
         return None
     parent = m * _gini_of_counts(total_counts, m)
+    n_left = np.arange(1, m, dtype=np.float64)
+    n_right = m - n_left
 
-    best = None  # (decrease, feature, theta)
-    one_hot = np.zeros((m, n_labels))
-    one_hot[np.arange(m), labels] = 1.0
-    for f in range(d):
-        order = np.argsort(points[:, f], kind="stable")
-        sv = points[order, f]
-        cuts = np.flatnonzero(sv[:-1] < sv[1:])
-        if cuts.size == 0:
-            continue
-        cum = np.cumsum(one_hot[order], axis=0)
-        left = cum[cuts]
-        n_left = (cuts + 1).astype(np.float64)
-        right = total_counts - left
-        n_right = m - n_left
-        g_left = n_left - (left * left).sum(axis=1) / n_left
-        g_right = n_right - (right * right).sum(axis=1) / n_right
-        decrease = parent - g_left - g_right
-        j = int(np.argmax(decrease))  # first max: lowest threshold
-        if best is None or decrease[j] > best[0]:
-            best = (float(decrease[j]), f, float(sv[cuts[j]]))
-    return best
+    def negative_decrease(cums):
+        # integer label counts: the sums of squares are exact in any order
+        left = reduce(np.add, (c * c for c in cums))
+        right = reduce(np.add, ((t - c) * (t - c) for t, c in zip(total_counts[present], cums)))
+        return -(parent - (n_left - left / n_left) - (n_right - right / n_right))
+
+    # one row of label indicators per label in the cell; absent labels add 0
+    rows = (labels == present[:, None]).astype(np.float64)
+    found = prefix_scan(points, rows, negative_decrease, 0.0)
+    return None if found is None else (-found[0], found[1], found[2])
 
 
 def _majority(labels: np.ndarray, n_labels: int) -> int:
@@ -110,10 +105,10 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
 
     tree = ThresholdTree()
 
-    def propose(leaf, ids, points):
+    def propose(leaf, ids, points, splittable):
         cell_labels = labels[ids]
         tree.set_leaf_label(leaf, _majority(cell_labels, n_labels))
-        return _gini_split(points, cell_labels, n_labels)
+        return _gini_split(points, cell_labels, n_labels) if splittable else None
 
     for _ in grow(X, tree, max_leaves, propose):
         pass

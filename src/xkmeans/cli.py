@@ -21,7 +21,7 @@ import numpy as np
 
 from xkmeans.baselines import build_gini_tree, build_kdtree
 from xkmeans.core import CostReport, DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost
-from xkmeans.exkmc import expand, root_tree
+from xkmeans.exkmc import expand
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
@@ -163,7 +163,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         if method == "imm":
             full = imm_base
         elif method in ("exkmc", "exkmc_imm"):
-            base = imm_base if method == "exkmc_imm" else root_tree(X, reference.centers)
+            base = imm_base if method == "exkmc_imm" else ThresholdTree()
             base_leaves = base.leaf_count
             result = expand(X, reference.centers, base, largest, jobs=config.jobs)
             full, trace = result.tree, result.trace

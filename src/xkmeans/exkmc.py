@@ -18,7 +18,8 @@ needs running inner products <x, mu> accumulated in sorted feature order.
 One sort per feature plus an O(k) update per threshold gives
 O(d k n + d n log n) per scanned leaf. The scan runs center-major: for a
 block of features, each center's products are cumsummed in sorted order as
-one (n, block) array, and the k centers are folded with an elementwise min.
+one (block, n) array, and the k centers are folded with an elementwise min.
+That search, `prefix_scan`, is also the gini baseline's, on label counts.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "TraceStep",
     "ExpandResult",
     "scan_best_split",
-    "root_tree",
     "expand",
 ]
 
@@ -48,7 +48,6 @@ _BLOCK = 64  # features vectorized together in the scan
 
 @dataclass(frozen=True)
 class SplitCandidate:
-    leaf_id: int
     feature: int
     threshold: float
     left_label: int
@@ -96,14 +95,50 @@ class ExpandResult:
         return self.trace[-1].surrogate_cost if self.trace else self.initial_surrogate
 
 
-def _block_ranges(d: int, jobs: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, d, jobs + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float, jobs: int = 1):
+    """Lowest-scoring threshold split of a cell, by prefix sums in sorted order.
+
+    Each 64-feature block of `points` (m, d) is copied feature-major and
+    stably sorted, and the r per-point statistics `rows` (r, m) are
+    cumsummed in that order. `score(cums)` maps the r (width, m - 1) prefix
+    sums to the score of cutting after each sorted point; only cuts between
+    distinct values count. Each feature keeps its first cut within `tol` of
+    its best, and the lowest feature within `tol` of the best of those
+    wins, at any `jobs` (at most one thread per block). Returns (score,
+    feature, threshold, points left of the cut, the r prefix sums there),
+    or None.
+    """
+    starts = range(0, points.shape[1], _BLOCK)
+
+    def scan_block(c0):
+        blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
+        order = np.argsort(blk, axis=1, kind="stable")
+        sv = np.take_along_axis(blk, order, axis=1)
+        valid = sv[:, :-1] < sv[:, 1:]
+        if not valid.any():
+            return None
+        cums = [np.cumsum(row[order], axis=1)[:, :-1] for row in rows]
+        tot = np.where(valid, score(cums), np.inf)
+        t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
+        width = np.arange(blk.shape[0])
+        sums = np.stack([cum[width, t_star] for cum in cums], axis=1)
+        return tot[width, t_star], c0 + width, sv[width, t_star], t_star + 1, sums
+
+    workers = min(jobs, len(starts))
+    if workers <= 1:
+        blocks = [scan_block(c0) for c0 in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(scan_block, starts))
+    found = [b for b in blocks if b is not None]
+    if not found:
+        return None
+    best, feature, theta, n_left, sums = (np.concatenate(parts) for parts in zip(*found))
+    i = int(np.argmax(best <= best.min() + tol))  # features in ascending order
+    return float(best[i]), int(feature[i]), float(theta[i]), int(n_left[i]), sums[i]
 
 
-def scan_best_split(
-    points, M: CenterSet, *, leaf_id: int = -1, jobs: int = 1
-) -> SplitCandidate | None:
+def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | None:
     """Best candidate over all (feature, point-value threshold) pairs.
 
     Thresholds sit at distinct point values, excluding each feature's max so
@@ -112,13 +147,10 @@ def scan_best_split(
     tied and resolved to the lowest (feature, threshold); distinct splits
     can have algebraically identical costs (any split whose sides keep the
     parent's center does), so an exact-equality tie-break would be at the
-    mercy of summation order. The result does not depend on the parallelism
-    degree.
+    mercy of summation order. The result does not depend on `jobs`.
     """
     points = np.asarray(points, dtype=np.float64)
-    m, d = points.shape
-    if m < 2:
-        return None
+    m = points.shape[0]
     centers = M.centers
     P = points @ centers.T
     m2 = np.einsum("ij,ij->i", centers, centers)
@@ -126,61 +158,22 @@ def scan_best_split(
     sumsq = float(np.einsum("ij,ij->", points, points))
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
-    order = np.argsort(points, axis=0, kind="stable")
-    counts = np.arange(1, m, dtype=np.float64)[:, None]
-    lm2, rm2 = counts * m2, (m - counts) * m2  # (m - 1, k) size terms of each side
-    PT = np.ascontiguousarray(P.T)  # center-major: one contiguous row per center
+    counts = np.arange(1, m, dtype=np.float64)
+    lm2, rm2 = np.outer(m2, counts), np.outer(m2, m - counts)  # (k, m - 1) side size terms
 
-    def scan_range(f0, f1):
-        entries = []  # per-feature best: (score, feature, theta, left, right)
-        for c0 in range(f0, f1, _BLOCK):
-            cols = np.arange(c0, min(c0 + _BLOCK, f1))
-            ord_blk = order[:, cols]
-            sv = np.take_along_axis(points[:, cols], ord_blk, axis=0)
-            valid = sv[:-1] < sv[1:]
-            if not valid.any():
-                continue
-            # one (m - 1, width) block per center, folded with np.minimum
-            cums = [np.cumsum(row[ord_blk], axis=0)[:-1] for row in PT]
-            lbest = reduce(np.minimum, (-2.0 * c + lm2[:, [j]] for j, c in enumerate(cums)))
-            rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + rm2[:, [j]] for j, c in enumerate(cums)))
-            tot = np.where(valid, lbest + rbest, np.inf)
-            s_min = tot.min(axis=0)
-            t_star = (tot <= s_min + tol).argmax(axis=0)  # first near-tied row
-            width = np.arange(cols.size)
-            s_star = tot[t_star, width]
-            # side labels only for each column's chosen row
-            cum_star = np.stack([cum[t_star, width] for cum in cums], axis=1)
-            ll_vec = (-2.0 * cum_star + lm2[t_star]).argmin(axis=1)
-            rl_vec = (-2.0 * (s_tot - cum_star) + rm2[t_star]).argmin(axis=1)
-            for w in np.flatnonzero(np.isfinite(s_star)):
-                t = int(t_star[w])
-                entries.append(
-                    (
-                        float(s_star[w]),
-                        int(cols[w]),
-                        float(sv[t, w]),
-                        int(ll_vec[w]),
-                        int(rl_vec[w]),
-                    )
-                )
-        return entries
+    def side_costs(cums):
+        # one (width, m - 1) block per center, folded with np.minimum
+        lbest = reduce(np.minimum, (-2.0 * c + lm2[j] for j, c in enumerate(cums)))
+        rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + rm2[j] for j, c in enumerate(cums)))
+        return lbest + rbest
 
-    if jobs <= 1:
-        found = scan_range(0, d)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = [
-                e
-                for chunk in pool.map(lambda r: scan_range(*r), _block_ranges(d, jobs))
-                for e in chunk
-            ]
-    if not found:
+    # center-major: one contiguous row of inner products per center
+    found = prefix_scan(points, np.ascontiguousarray(P.T), side_costs, tol, jobs)
+    if found is None:
         return None
-    cutoff = min(e[0] for e in found) + tol
-    score, feature, theta, ll, rl = min(
-        (e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2])
-    )
+    score, feature, theta, n_left, cum = found
+    ll = int((-2.0 * cum + lm2[:, n_left - 1]).argmin())
+    rl = int((-2.0 * (s_tot - cum) + rm2[:, n_left - 1]).argmin())
 
     post_cost = sumsq + score
     gain = pre_score - score
@@ -188,12 +181,7 @@ def scan_best_split(
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
-    return SplitCandidate(leaf_id, feature, theta, ll, rl, post_cost, gain)
-
-
-def root_tree(X: DataMatrix, M: CenterSet) -> ThresholdTree:
-    """Single-leaf tree labeled with the best center for the whole dataset."""
-    return ThresholdTree(root_label=best_center(X.points, M)[0])
+    return SplitCandidate(feature, theta, ll, rl, post_cost, gain)
 
 
 class _ClusterAggregates:
@@ -238,7 +226,8 @@ def expand(
 
     Zero-gain splits are taken as long as a valid split exists; a leaf whose
     points are all identical is skipped, and the loop ends early once every
-    leaf is unsplittable. Ties on gain go to the lowest leaf id. `base` may
+    leaf is unsplittable. Ties on gain go to the lowest leaf id. Leaves made
+    by the split that reaches k_prime are priced but not scanned. `base` may
     be any tree whose leaves are labeled (a lone unlabeled root gets the best
     center): built, cut with `prefix` or loaded with `from_json`, since its
     cells come from routing X. The input tree is not modified.
@@ -260,7 +249,7 @@ def expand(
     leaf_cost: dict[int, float] = {}
     labels = np.empty(X.n, dtype=np.int64)
 
-    def propose(leaf, ids, points):
+    def propose(leaf, ids, points, splittable):
         label, leaf_cost[leaf] = best_center(points, M)
         parent = tree.node(leaf).label
         if parent is None:  # a new child, whose points all carry the parent's label
@@ -271,7 +260,7 @@ def expand(
                 labels[ids] = label
         else:
             labels[ids] = parent
-        cand = scan_best_split(points, M, leaf_id=leaf, jobs=jobs)
+        cand = scan_best_split(points, M, jobs=jobs) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)

@@ -41,16 +41,18 @@ def grow(
     X: DataMatrix,
     tree: ThresholdTree,
     max_leaves: int,
-    propose: Callable[[int, np.ndarray, np.ndarray], tuple[float, int, float] | None],
+    propose: Callable[[int, np.ndarray, np.ndarray, bool], tuple[float, int, float] | None],
 ) -> Iterator[int]:
     """Grow `tree` best-first toward `max_leaves` leaves.
 
-    `propose(leaf, ids, points)` is called once for every leaf: for each
-    leaf of `tree` as given, before `grow` returns, and for each child as it
-    is made, left first. It labels the leaf (a child is made unlabeled) and
-    returns (priority, feature, threshold) for the cell's split, or None
-    when the cell cannot split. `points` are the rows `ids` of X, and
-    `X.points` itself for a cell that holds the whole dataset, never a copy.
+    `propose(leaf, ids, points, splittable)` is called once for every leaf:
+    for each leaf of `tree` as given, before `grow` returns, and for each
+    child as it is made, left first. It labels the leaf (a child is made
+    unlabeled) and returns (priority, feature, threshold) for the cell's
+    split, or None when the cell cannot split. `points` are the rows `ids`
+    of X, and `X.points` itself for a cell that holds the whole dataset,
+    never a copy. `splittable` is False once the tree has `max_leaves`
+    leaves: such a leaf is never split, so it needs no split search.
 
     Each item of the returned iterator is one split, of the frontier leaf
     with the highest priority (ties: lowest leaf id), and is that leaf's id,
@@ -60,7 +62,8 @@ def grow(
     frontier = []  # (-priority, leaf id, feature, threshold, point ids)
 
     def visit(leaf: int, ids: np.ndarray) -> None:
-        split = propose(leaf, ids, X.points if ids.size == X.n else X.points[ids])
+        points = X.points if ids.size == X.n else X.points[ids]
+        split = propose(leaf, ids, points, tree.leaf_count < max_leaves)
         if split is not None:
             priority, feature, threshold = split
             heapq.heappush(frontier, (-priority, leaf, feature, threshold, ids))
@@ -189,6 +192,8 @@ class ThresholdTree:
         """Root-to-leaf conditions for one point, plus the leaf label."""
         x = np.asarray(x, dtype=np.float64)
         self._check_dim(x.shape[-1] if x.ndim else 0)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("point contains NaN or Inf entries")
         path = []
         node = self.nodes[self.root]
         while not node.is_leaf:

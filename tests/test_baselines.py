@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xkmeans.baselines import build_gini_tree, build_kdtree
+from xkmeans.baselines import _gini_of_counts, _gini_split, build_gini_tree, build_kdtree
 from xkmeans.core import Assignment, CenterSet, DataMatrix, accuracy, surrogate_cost
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import gen_gaussian_blobs
@@ -99,6 +101,69 @@ class TestGiniTree:
         ref = fit_reference(X, KMeansConfig(k=4, n_init=2, seed=3))
         tree = build_gini_tree(X, ref.assignment, max_leaves=4)
         assert set(np.unique(tree.induced_assignment(X).labels)) <= set(range(4))
+
+
+def loop_gini_split(points, labels, n_labels):
+    """Reference for `_gini_split`: one sort and one impurity scan per
+    feature; a strictly larger decrease replaces the best, so ties go to
+    the lowest (feature, threshold)."""
+    m, d = points.shape
+    total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
+    if (total_counts > 0).sum() <= 1:
+        return None
+    parent = m * _gini_of_counts(total_counts, m)
+
+    best = None  # (decrease, feature, theta)
+    one_hot = np.zeros((m, n_labels))
+    one_hot[np.arange(m), labels] = 1.0
+    for f in range(d):
+        order = np.argsort(points[:, f], kind="stable")
+        sv = points[order, f]
+        cuts = np.flatnonzero(sv[:-1] < sv[1:])
+        if cuts.size == 0:
+            continue
+        cum = np.cumsum(one_hot[order], axis=0)
+        left = cum[cuts]
+        n_left = (cuts + 1).astype(np.float64)
+        right = total_counts - left
+        n_right = m - n_left
+        g_left = n_left - (left * left).sum(axis=1) / n_left
+        g_right = n_right - (right * right).sum(axis=1) / n_right
+        decrease = parent - g_left - g_right
+        j = int(np.argmax(decrease))  # first max: lowest threshold
+        if best is None or decrease[j] > best[0]:
+            best = (float(decrease[j]), f, float(sv[cuts[j]]))
+    return best
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 63, 64, 65, 129]),  # one column, and either side of a scan block
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(0, 10**6),
+)
+def test_gini_split_matches_per_feature_loop_on_tie_heavy_grids(d, n, n_labels, seed):
+    # small integer grids tie many thresholds and features exactly
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    labels = rng.integers(0, n_labels, size=n)
+    assert _gini_split(pts, labels, n_labels) == loop_gini_split(pts, labels, n_labels)
+
+
+@pytest.mark.parametrize(
+    "points, labels",
+    [
+        (np.arange(12.0).reshape(6, 2), [2, 2, 2, 2, 2, 2]),  # pure
+        (np.array([[1.0, -1.0]]), [0]),  # one point
+        (np.ones((5, 65)), [0, 1, 2, 0, 1]),  # all identical, across two blocks
+    ],
+    ids=["pure", "single_point", "all_identical"],
+)
+def test_gini_split_none_on_cells_that_cannot_split(points, labels):
+    labels = np.array(labels)
+    assert loop_gini_split(points, labels, 3) is None
+    assert _gini_split(points, labels, 3) is None
 
 
 def test_invalid_leaf_budgets_rejected():

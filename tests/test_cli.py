@@ -377,6 +377,20 @@ def test_explain_dimension_mismatch_exit_code(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["nan,nan", "inf,0", "0,-inf"])
+def test_explain_non_finite_point_exit_code(tmp_path, capsys, point):
+    # NaN compares false both ways, so no path through the tree is true of it
+    tree = ThresholdTree()
+    tree.split_leaf(0, 0, 0.5, 0, 1)
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(tree.to_json())
+    code = main(["explain", "--tree", str(tree_file), "--point", point])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "nodes",
     [

@@ -1,11 +1,13 @@
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xkmeans import exkmc
 from xkmeans.core import (
     Assignment,
     CenterSet,
@@ -18,10 +20,9 @@ from xkmeans.exkmc import (
     _BLOCK,
     _REL_TOL,
     SplitCandidate,
-    _block_ranges,
     _ClusterAggregates,
     expand,
-    root_tree,
+    prefix_scan,
     scan_best_split,
 )
 from xkmeans.imm import build_imm
@@ -197,6 +198,24 @@ class TestExpand:
             base.induced_assignment(X).labels,
         )
 
+    def test_leaves_made_at_the_budget_are_not_scanned(self, monkeypatch):
+        # the children of the split that reaches the budget are never split:
+        # they are labeled and priced, but their scans would be thrown away
+        X, ref = self.blob_fit(3)
+        base = build_imm(X, ref.centers, ref.assignment)
+        scanned = []
+
+        def counting_scan(points, M, **kwargs):
+            scanned.append(points.shape[0])
+            return scan_best_split(points, M, **kwargs)
+
+        monkeypatch.setattr(exkmc, "scan_best_split", counting_scan)
+        assert expand(X, ref.centers, base, base.leaf_count).trace == ()
+        assert scanned == []
+        result = expand(X, ref.centers, base, 8)
+        assert result.stop_reason == "budget" and len(result.trace) == 8 - base.leaf_count
+        assert len(scanned) == base.leaf_count + 2 * len(result.trace) - 2
+
     def test_empty_base_single_step(self):
         base = ThresholdTree()  # single unlabeled root
         result = expand(FOUR_POINTS, TWO_CENTERS, base, 2)
@@ -304,7 +323,7 @@ def test_expand_resumes_from_a_cut_tree(imm_base):
     X, _ = gen_gaussian_blobs(4, 120, 3, separation=3.0, seed=12)
     ref = fit_reference(X, KMeansConfig(k=4, n_init=2, seed=12))
     M = ref.centers
-    base = build_imm(X, M, ref.assignment) if imm_base else root_tree(X, M)
+    base = build_imm(X, M, ref.assignment) if imm_base else ThresholdTree()
     B = 30
     full = expand(X, M, base, B)
     assert full.tree.leaf_count == B
@@ -379,7 +398,7 @@ def test_full_budget_expansion_reaches_nearest_assignment(n, d, k, seed):
         assert step.kmeans_cost <= step.surrogate_cost + slack
 
 
-def klast_best_split(points, M, *, leaf_id=-1, jobs=1):
+def klast_best_split(points, M, *, jobs=1):
     """Reference for `scan_best_split`: the same scan with the k centers as
     the last axis of each (points x block x k) array, reduced over that axis."""
     points = np.asarray(points, dtype=np.float64)
@@ -427,8 +446,10 @@ def klast_best_split(points, M, *, leaf_id=-1, jobs=1):
     if jobs <= 1:
         found = scan_range(0, d)
     else:
+        edges = np.linspace(0, d, jobs + 1).astype(int)  # jobs contiguous feature ranges
+        ranges = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = [e for chunk in pool.map(lambda r: scan_range(*r), _block_ranges(d, jobs)) for e in chunk]
+            found = [e for chunk in pool.map(lambda r: scan_range(*r), ranges) for e in chunk]
     if not found:
         return None
     cutoff = min(e[0] for e in found) + tol
@@ -439,7 +460,7 @@ def klast_best_split(points, M, *, leaf_id=-1, jobs=1):
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
-    return SplitCandidate(leaf_id, feature, theta, ll, rl, post_cost, gain)
+    return SplitCandidate(feature, theta, ll, rl, post_cost, gain)
 
 
 WIDTHS = [1, 63, 64, 65, 129]  # one column, and either side of the 64-feature block
@@ -457,7 +478,7 @@ def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
     for jobs in (1, 2):
-        assert scan_best_split(pts, M, leaf_id=7, jobs=jobs) == klast_best_split(pts, M, leaf_id=7, jobs=jobs)
+        assert scan_best_split(pts, M, jobs=jobs) == klast_best_split(pts, M, jobs=jobs)
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -469,8 +490,28 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
     # with and without the two anchors, one cluster, and a 30-point cell
     for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
         for jobs in (1, 2):
-            got = scan_best_split(cell, M, leaf_id=1, jobs=jobs)
-            assert got == klast_best_split(cell, M, leaf_id=1, jobs=jobs)
+            got = scan_best_split(cell, M, jobs=jobs)
+            assert got == klast_best_split(cell, M, jobs=jobs)
+
+
+def scan_result(found):
+    return None if found is None else (*found[:4], found[4].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10**6))
+def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
+    # 129 features are three scan blocks, which 2 and 3 jobs share out
+    # differently; the tolerance makes near-ties across blocks matter
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, 129)).astype(float)
+    rows = rng.integers(0, 4, size=(r, n)).astype(float)
+    want = scan_result(prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5))
+    M = CenterSet(rng.integers(-2, 3, size=(r, 129)).astype(float))
+    for jobs in (2, 3):
+        got = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5, jobs)
+        assert scan_result(got) == want
+        assert scan_best_split(pts, M, jobs=jobs) == scan_best_split(pts, M)
 
 
 def add_at_aggregates(pts, labels, k):

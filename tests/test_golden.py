@@ -28,6 +28,11 @@ CASES = {
     "iris_deep": ["--data", IRIS, "--k", "3", "--leaves", "k,40,150"],
     "blobs_1d": ["--synth", "blobs", "--k", "3", "--d", "1", "--n", "300", "--leaves", "k,2k,4k"],
     "blobs_2d": ["--synth", "blobs", "--k", "4", "--d", "2", "--n", "300", "--leaves", "k,2k,4k"],
+    # wider than one 64-feature scan block, on the threaded scan path;
+    # gini grows to 5 leaves and the other tree builders to 12
+    "synthetic2_wide": [
+        "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k", "--jobs", "2",
+    ],
 }
 
 # case -> output file -> sha256
@@ -175,6 +180,33 @@ GOLDEN = {
         "tree_kdtree_k3.json": "c8199766f5ca949c1e03a0dcebc9744f010e04939f087de0fea7eb2c93f33a0a",
         "tree_kdtree_k40.dot": "a1a139880c771b7dd3943e22345a3581274c7a77c24310293c817d560b49d02b",
         "tree_kdtree_k40.json": "e489e03868a9e6e53a42283cca22a4200b4b47d006a4e1c29f68341c7dac003f"
+    },
+    "synthetic2_wide": {
+        "results.csv": "546721db2680823ed1c4f90088d97b799979bd7f8e869e7784cfbdd6ebd595a2",
+        "trace_exkmc_imm_k12.jsonl": "708d66ce2c6d2e1dbb8a7d547e5f1b67323b67a5a8dd594e3112d05bf58bc94b",
+        "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trace_exkmc_k12.jsonl": "d764e85919897321c4f738c76d481160be3d4e19c69238dd8015d7b32000ee42",
+        "trace_exkmc_k3.jsonl": "c240646c048da0cdcddd7b40658a96a18131def3f00cebc74cb94575d2e85b56",
+        "tree_exkmc_imm_k12.dot": "fb5b224c2ce9fdee5832ddd4c60ca6af8fa8d14e3170ceeda1c558d86de86a80",
+        "tree_exkmc_imm_k12.json": "7e3cb59cf75815bc246b42c7419eed6c69316bf509af19784d943166a5550f0e",
+        "tree_exkmc_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
+        "tree_exkmc_imm_k3.json": "eec0043e436c1680d24919a5da5d3aecff9208e730b7dfcc379f0eb3a7a4bbc4",
+        "tree_exkmc_k12.dot": "54d5d295c1791dc708e77d9e6ebe4a765c48074b3b20c7e33b370d4378fad33e",
+        "tree_exkmc_k12.json": "e4a7ff7c7fca684b3ee41243cc8b43c3783883b4ac77335d3158d904c43ca71e",
+        "tree_exkmc_k3.dot": "d20ef5c9776946165a888ed42120548b4faf144aa34d1e2125423cea87ff406d",
+        "tree_exkmc_k3.json": "1d8dfffcf5da88a6d59346cb81acd287d41b5fc185a2361c7fc42d95946a3284",
+        "tree_gini_tree_k12.dot": "d1983e53a185a97b9f472e472be537d9a4f163126b369f27e7d054e9f30ce2bf",
+        "tree_gini_tree_k12.json": "3a619cadbea180019f0aab414f3f39463fc6b5a47860406ff47649bf9133000e",
+        "tree_gini_tree_k3.dot": "f888db93d4072db0ae96a7e2a930cd76eab776a9e2cb2883d9781b09a33f3946",
+        "tree_gini_tree_k3.json": "9464b0f0d8aed4696844035d46d7071e3baed8394114ad5210cced78d591b9b6",
+        "tree_imm_k12.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
+        "tree_imm_k12.json": "eec0043e436c1680d24919a5da5d3aecff9208e730b7dfcc379f0eb3a7a4bbc4",
+        "tree_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
+        "tree_imm_k3.json": "eec0043e436c1680d24919a5da5d3aecff9208e730b7dfcc379f0eb3a7a4bbc4",
+        "tree_kdtree_k12.dot": "05ef5fb49300e948dd95313373edb162b30c2dea03a5601181a410ba80a5ebaa",
+        "tree_kdtree_k12.json": "c85e53720382c8efdfa3da0f06c31b6583e04698c5c709283c356142d1dd2bdd",
+        "tree_kdtree_k3.dot": "dcb5e8d91ae9930bb4e47d0e3823400f85ce03bf50525b7068dbbb851e4caf58",
+        "tree_kdtree_k3.json": "4dcf4c2a45698c61a40eef37b9ba1a19bb17a64d7b7a28fb198ac9d9c34caaf3"
     }
 }
 

@@ -183,26 +183,30 @@ class TestExport:
 
 
 @pytest.mark.parametrize(
-    "max_leaves, splits",
+    "max_leaves, splits, searched",
     [
-        (1, []),  # the budget stops growth before any split
-        (3, [0, 1]),
-        (100, [0, 1, 2, 3, 4, 5, 6]),  # stops once no cell can split: 8 singletons
+        (1, [], []),  # the budget stops growth before any split
+        (3, [0, 1], [0, 1, 2]),  # leaves 3 and 4 come at the budget
+        # stops once no cell can split: 8 singletons
+        (100, [0, 1, 2, 3, 4, 5, 6], list(range(15))),
     ],
     ids=["budget_one", "budget_three", "until_unsplittable"],
 )
-def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits):
+def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits, searched):
     X = DataMatrix(np.arange(8.0)[:, None])
     tree = ThresholdTree()
-    visited = []
+    visited, searches = [], []
 
-    def propose(leaf, ids, points):
+    def propose(leaf, ids, points, splittable):
         visited.append(leaf)
         tree.set_leaf_label(leaf, 0)
         if ids.size == X.n:
             assert points is X.points  # the whole dataset is never copied
         else:
             assert np.array_equal(points, X.points[ids])
+        if not splittable:
+            return None
+        searches.append(leaf)
         if ids.size < 2:
             return None
         # equal priorities everywhere: the lowest leaf id must go first
@@ -213,6 +217,8 @@ def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits):
     assert list(steps) == splits
     assert tree.leaf_count == len(splits) + 1 <= max_leaves
     assert sorted(visited) == list(range(len(tree.nodes)))
+    # a leaf made at the budget is labeled but gets no split search
+    assert sorted(searches) == searched
 
 
 class TestPrefix:
