@@ -29,6 +29,8 @@ __all__ = [
     "load_csv",
 ]
 
+_REL_TOL = 1e-9  # costs this close, relative, count as tied
+
 
 def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -169,7 +171,9 @@ def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
 
 def best_center(points, M: CenterSet) -> tuple[int, float]:
     """Index and cost of the cheapest fixed center for a cell, given as an
-    (m, d) array of its points (tie: lowest index; an empty cell costs 0)."""
+    (m, d) array of its points; an empty cell costs 0. Ties go to the lowest
+    index within 1e-9 relative of the cheapest cost, so that centers tied in
+    exact arithmetic do not hang on the last bit of a sum."""
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:
         return 0, 0.0
@@ -177,7 +181,7 @@ def best_center(points, M: CenterSet) -> tuple[int, float]:
     for j in range(M.k):
         diff = points - M.centers[j]
         costs[j] = np.einsum("ij,ij->", diff, diff)
-    j = int(np.argmin(costs))
+    j = int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))
     return j, float(costs[j])
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import CenterSet, DataMatrix, best_center, cluster_sums
+from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cluster_sums
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "expand",
 ]
 
-_REL_TOL = 1e-9
 _BLOCK = 64  # features vectorized together in the scan
 
 
@@ -147,7 +146,10 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     tied and resolved to the lowest (feature, threshold); distinct splits
     can have algebraically identical costs (any split whose sides keep the
     parent's center does), so an exact-equality tie-break would be at the
-    mercy of summation order. The result does not depend on `jobs`.
+    mercy of summation order. For the same reason each side takes the
+    lowest center within that tolerance of its cheapest, and a gain smaller
+    than the tolerance, of either sign, is 0.0. The result does not depend
+    on `jobs`.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
@@ -172,12 +174,15 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     if found is None:
         return None
     score, feature, theta, n_left, cum = found
-    ll = int((-2.0 * cum + lm2[:, n_left - 1]).argmin())
-    rl = int((-2.0 * (s_tot - cum) + rm2[:, n_left - 1]).argmin())
+    # each side's lowest center within tol of its cheapest
+    lcost = -2.0 * cum + lm2[:, n_left - 1]
+    rcost = -2.0 * (s_tot - cum) + rm2[:, n_left - 1]
+    ll = int(np.argmax(lcost <= lcost.min() + tol))
+    rl = int(np.argmax(rcost <= rcost.min() + tol))
 
     post_cost = sumsq + score
     gain = pre_score - score
-    if -tol < gain < 0.0:
+    if abs(gain) < tol:  # round-off of either sign is no gain
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
@@ -226,8 +231,10 @@ def expand(
 
     Zero-gain splits are taken as long as a valid split exists; a leaf whose
     points are all identical is skipped, and the loop ends early once every
-    leaf is unsplittable. Ties on gain go to the lowest leaf id. Leaves made
-    by the split that reaches k_prime are priced but not scanned. `base` may
+    leaf is unsplittable. Ties on gain go to the lowest leaf id, and a gain
+    within 1e-9 relative of zero is zero, so round-off does not order the
+    zero-gain plateau. Leaves made by the split that reaches k_prime are
+    priced but not scanned. `base` may
     be any tree whose leaves are labeled (a lone unlabeled root gets the best
     center): built, cut with `prefix` or loaded with `from_json`, since its
     cells come from routing X. The input tree is not modified.
@@ -275,7 +282,7 @@ def expand(
         lc, rc = leaf_cost[node.left], leaf_cost[node.right]
         prev_cost = leaf_cost.pop(leaf)
         gain = prev_cost - (lc + rc)
-        if -_REL_TOL * max(1.0, abs(prev_cost)) < gain < 0.0:
+        if abs(gain) < _REL_TOL * max(1.0, abs(prev_cost)):
             gain = 0.0
         step = TraceStep(
             len(trace) + 1, leaf, node.feature, node.threshold,

@@ -308,6 +308,36 @@ class TestExpand:
         assert r1.trace == r4.trace
 
 
+def test_zero_gain_plateau_is_split_in_leaf_id_order():
+    # every IMM leaf of well-separated blobs is pure, so every later split
+    # keeps its cell's center and gains exactly 0 in exact arithmetic; with
+    # round-off counted as no gain the heap takes the lowest leaf id each
+    # time, and children outnumber every older id, so the ids only grow
+    X, _ = gen_gaussian_blobs(4, 200, 2, separation=8.0, seed=5)
+    ref = fit_reference(X, KMeansConfig(k=4, n_init=2, seed=5))
+    base = build_imm(X, ref.centers, ref.assignment)
+    result = expand(X, ref.centers, base, 40)
+    assert len(result.trace) == 40 - base.leaf_count
+    assert all(step.gain == 0.0 for step in result.trace)
+    leaves = [step.leaf for step in result.trace]
+    assert leaves == sorted(set(leaves))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exactly_tied_centers_go_to_the_lowest_index(seed):
+    # a cell mirrored across x0 = 0 is exactly as far from a center as from
+    # the center's mirror image, whatever the last bits of either sum say
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(3, 2))
+    cell = np.vstack([half, half * [-1.0, 1.0]])
+    c = rng.normal(size=2)
+    M = CenterSet([c * [-1.0, 1.0], c, [0.0, 50.0]])
+    assert best_center(cell, M)[0] == 0
+    # split from a far group nearest the third center, the cell is a side
+    split = scan_best_split(np.vstack([cell, cell + [0.0, 50.0]]), M)
+    assert (split.feature, split.left_label, split.right_label) == (1, 0, 2)
+
+
 def test_unlabeled_multi_leaf_base_rejected():
     tree = ThresholdTree()
     tree.split_leaf(0, 0, 0.0, None, None)
@@ -434,8 +464,11 @@ def klast_best_split(points, M, *, jobs=1):
             s_star = tot[t_star, width]
             cum_star = cum[t_star, width, :]
             n_left = (t_star + 1.0)[:, None]
-            ll_vec = (-2.0 * cum_star + n_left * m2).argmin(axis=1)
-            rl_vec = (-2.0 * (s_tot - cum_star) + (m - n_left) * m2).argmin(axis=1)
+            # each side's lowest center within tol of its cheapest
+            lcost = -2.0 * cum_star + n_left * m2
+            rcost = -2.0 * (s_tot - cum_star) + (m - n_left) * m2
+            ll_vec = (lcost <= lcost.min(axis=1, keepdims=True) + tol).argmax(axis=1)
+            rl_vec = (rcost <= rcost.min(axis=1, keepdims=True) + tol).argmax(axis=1)
             for w in np.flatnonzero(np.isfinite(s_star)):
                 t = int(t_star[w])
                 entries.append(
@@ -456,11 +489,24 @@ def klast_best_split(points, M, *, jobs=1):
     score, feature, theta, ll, rl = min((e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2]))
     post_cost = sumsq + score
     gain = pre_score - score
-    if -tol < gain < 0.0:
+    if abs(gain) < tol:
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
     return SplitCandidate(feature, theta, ll, rl, post_cost, gain)
+
+
+def assert_same_split(got, want):
+    """The same split and labels, and the same costs to 1e-12 relative."""
+    if want is None:
+        assert got is None
+        return
+    assert (got.feature, got.threshold, got.left_label, got.right_label) == (
+        want.feature, want.threshold, want.left_label, want.right_label,
+    )
+    scale = 1e-12 * max(1.0, want.post_split_cost + want.gain)  # the cell's cost
+    assert got.post_split_cost == pytest.approx(want.post_split_cost, rel=1e-12, abs=scale)
+    assert got.gain == pytest.approx(want.gain, rel=1e-12, abs=scale)
 
 
 WIDTHS = [1, 63, 64, 65, 129]  # one column, and either side of the 64-feature block
@@ -478,7 +524,7 @@ def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
     for jobs in (1, 2):
-        assert scan_best_split(pts, M, jobs=jobs) == klast_best_split(pts, M, jobs=jobs)
+        assert_same_split(scan_best_split(pts, M, jobs=jobs), klast_best_split(pts, M, jobs=jobs))
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -490,8 +536,7 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
     # with and without the two anchors, one cluster, and a 30-point cell
     for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
         for jobs in (1, 2):
-            got = scan_best_split(cell, M, jobs=jobs)
-            assert got == klast_best_split(cell, M, jobs=jobs)
+            assert_same_split(scan_best_split(cell, M, jobs=jobs), klast_best_split(cell, M, jobs=jobs))
 
 
 def scan_result(found):

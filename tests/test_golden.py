@@ -39,20 +39,20 @@ CASES = {
 GOLDEN = {
     "blobs_1d": {
         "results.csv": "f8d4d57d22c8bcb18147a6025bdcee3e142a9cab4a439653160188b8d42b547b",
-        "trace_exkmc_imm_k12.jsonl": "fdf2f0fe8daa3210932a37d25ae3944446d47cc4293a81b9d5be390d51d42b68",
+        "trace_exkmc_imm_k12.jsonl": "9b8fded0cfdaac6e74f6b87c5dac70e593045b70115e8adaba8baf305004e333",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "2b08d45fb22c0b8c67b279d6d73711e5eeb5a97c1c2f7eca26a1322cfce2923a",
-        "trace_exkmc_k12.jsonl": "0ba4d0505d8e86207f6b82d3ff1fc3876239a29682011a6a603206e9c8561759",
-        "trace_exkmc_k3.jsonl": "d071697c589c55483008bc46eea10cc3a6994b94e5e15841050e9dfc2542e04d",
-        "trace_exkmc_k6.jsonl": "5a978c3119fe012458619bece79b94c32e8999ebd1ac985687077a79d6fafa67",
-        "tree_exkmc_imm_k12.dot": "65489df0268853e6153e64751ad99a2919ab3c6f25cc6d23abdbd8a58eff854a",
-        "tree_exkmc_imm_k12.json": "02d7be54ec68ca0f65dd49642e069cd7934b7ac2c44585eed51a172992c83a98",
+        "trace_exkmc_imm_k6.jsonl": "fc17e94e59b6e21786dd2a1b4e937b26175b47dacdc87bc0719405cbb23c8ba3",
+        "trace_exkmc_k12.jsonl": "24f38815deb3fa29a359203f059e6120a3c3973bd7dee4dcfdddab4ef5664f05",
+        "trace_exkmc_k3.jsonl": "b1301f38b3ab6a074f4b2300c365bd8b1eb2bc282431b3e2dad1b5e2fc3b4a6c",
+        "trace_exkmc_k6.jsonl": "a8537b678cc11b6eac636950c79367e020b9b94f70274f7718bc9e34a0412f10",
+        "tree_exkmc_imm_k12.dot": "05d763cb7dcecdf08ccb6033f01434da93108b8cefe7bd31acb9db0e07be0332",
+        "tree_exkmc_imm_k12.json": "59f880afcf37915c51acbafd5756760f3b2a00e44844943f26824dccf4db4e82",
         "tree_exkmc_imm_k3.dot": "42f67c986b89c763f90a5c1fa3bb2283852b41e22ea2f09fe51f7f45fc809792",
         "tree_exkmc_imm_k3.json": "42476a16bd3e4bf88049fc375392837509a0123e0bf0a3c9ced42ee62d4ef5bf",
-        "tree_exkmc_imm_k6.dot": "f4b1c1421c4739844b7a70114ba77dcd168bc3a9f538ddce6436150f2ab80284",
-        "tree_exkmc_imm_k6.json": "adad620524156fc5c88feffaea4cae34b823b7d3bea01fa6ddcc56e002aa90f7",
-        "tree_exkmc_k12.dot": "e8bebd3fc67465fec5ee9a909c89bf72206f997b08c50559f4bf08971d8e3128",
-        "tree_exkmc_k12.json": "467d9e62b018804b16ab45afee9d016c551fbef0afed2db0e1715dfd5f6217f2",
+        "tree_exkmc_imm_k6.dot": "45e292ef76f6a13791fa951cdee3d7af249640795478e97f4360f424b87bc880",
+        "tree_exkmc_imm_k6.json": "c43d68032c30cd392586856153a0cc944ff43d0017a3a33f36dc54598ad8e5b9",
+        "tree_exkmc_k12.dot": "9c6bd65f692722411b600a6da548bc77e87945f802a4db3c06ad175a6db9a9a6",
+        "tree_exkmc_k12.json": "6dd07551497b42ed5a11405c282ae166e6b753d26f031bb6960e1448e3607633",
         "tree_exkmc_k3.dot": "4d23d21976d8609cc6af2ca33cb9d6fb79503bb6967209ea71f3217a74fa3045",
         "tree_exkmc_k3.json": "bb4769bbf13d1d0ce367c055bf1a0c1cce60f2af2f593b49da529662cb63feef",
         "tree_exkmc_k6.dot": "d3f19673272c7ee9710b1e44150da8b2865f0f29dd9fcc7ab2d9863ba2d70dc0",
@@ -77,21 +77,21 @@ GOLDEN = {
         "tree_kdtree_k6.json": "bd31e619c94c228f782c4d852163650d37c16bad872689974021dc6813929e71"
     },
     "blobs_2d": {
-        "results.csv": "33314a9da71a0754bfd317b2cb14021aed955d2bb9770c453284ae498afc3d0d",
-        "trace_exkmc_imm_k16.jsonl": "f4e02e26fd6b524ecede35a18143246bbf038003724fb3a5e47deec81080f06c",
+        "results.csv": "c0e90cd7dc1e632d8400f6ff1e3112610f2fb77a4f453b22c6a39240b841f571",
+        "trace_exkmc_imm_k16.jsonl": "9b0b7d4e1a07882b985b07721a8a30fe8f139400ec75f1d3265d1dd82d2587d3",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k8.jsonl": "589bf9a968193f0974d44b8195f90a5220b3c414ea40e065c0b410bda074f0e8",
-        "trace_exkmc_k16.jsonl": "c5e761c6718db63ef7a4a7216aca922f1fc4fde28f4966916fdf682ed0709688",
+        "trace_exkmc_imm_k8.jsonl": "f285951b4df6a20f389113a78cd7794e6dc1d6d1b9210c424253dee88d173e08",
+        "trace_exkmc_k16.jsonl": "c08c0ed4703994ade39d5adf5048ae91d2dd7ea41a295168a846528a34a759ab",
         "trace_exkmc_k4.jsonl": "020be36b4ec0d9b3c43275a2f86999f4df6eede1fd71b0333524e6997a465ada",
-        "trace_exkmc_k8.jsonl": "44127d636fe830bfefa2ce84071f2a2900dfdd34dbfb8cb9c0a4cd3a173169f0",
-        "tree_exkmc_imm_k16.dot": "6b3d3d5f62dec223954efd457c3835fa9f4ae46ab09c54dded2e8b4e2c0ee4ad",
-        "tree_exkmc_imm_k16.json": "c3578df956db2607b18d5f9291961ccf548b9d721b093a598c442f10620559f7",
+        "trace_exkmc_k8.jsonl": "9cb2457bf7345c7b7e8d9450a25cd117fc2214de04b7a8d30dc8e3deb95ca242",
+        "tree_exkmc_imm_k16.dot": "33d056094c2f822d3f118f28bb078b86548c9b294172b295b82086f3a682a2d7",
+        "tree_exkmc_imm_k16.json": "10cb0e4ec7f25f6539d4eed8dc92473ac63d8b827bdf4d0579efa93959969266",
         "tree_exkmc_imm_k4.dot": "ae8c09eeff21b8e5e46b49bea6bd77ef2ee807461d815f103fc79eb07ffba194",
         "tree_exkmc_imm_k4.json": "1bd11bb2931157f276e79aec0cc767220983b4c480001c63577a95a04a9fa838",
-        "tree_exkmc_imm_k8.dot": "90ad6d7d7716079a7e475472e4427c4d565030add7cb74c6734c6f559964bf9a",
-        "tree_exkmc_imm_k8.json": "83f4abaccffc95549562424f75c47f111e53581d238d16010490fd95bcd1f413",
-        "tree_exkmc_k16.dot": "ae5b954dd3e21f98ba2d050015770c7641f5df255f1e7f072f75860d476d74d5",
-        "tree_exkmc_k16.json": "65ad58d57d3409abaa30defd085c5c8c7a66fc8348eaa86b30f086af0b278781",
+        "tree_exkmc_imm_k8.dot": "bd3bf14016924cab2289fe682470c1dc55c9500f44c99e7b78c2831f4b6ff001",
+        "tree_exkmc_imm_k8.json": "9af3add094b96c1affd5ebdb4b00ad1c3c326de259ab43cc07e4178af85a3773",
+        "tree_exkmc_k16.dot": "d9cb246d53c42f5ea6ca17ad5ac82198e3eb566de60c5dd2a82fe596eaa65d98",
+        "tree_exkmc_k16.json": "9787d7feed519e7e780ef980c16ec0a1ba90d3d1528db36c93a1749d0be52420",
         "tree_exkmc_k4.dot": "2b0d30b81ba37bcd500885757643ed5497b0fe0f0b6c944bbd76a9c04d649e7c",
         "tree_exkmc_k4.json": "3a37dce2d44149d204de7f46e69f9aaf2ab5c8fde97da67568c23735a67382ef",
         "tree_exkmc_k8.dot": "32fd5a2abdab5b0fd38906da324599e70f18a82152f878006788af9a01126dcc",
@@ -118,17 +118,17 @@ GOLDEN = {
     "iris": {
         "results.csv": "0fa0b277d942bda89bc41f5e44e4be7d730850681363b70972aecad1dc20803f",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "0aeaf01c46bc7b51b54101a093caaa4c5a19d4b862f9c77c2b07e7cbf6d5b91b",
+        "trace_exkmc_imm_k6.jsonl": "021e5791ce69b14812377b99f7dead5296d5cd216198cd314c2246f0b55a8b92",
         "trace_exkmc_k3.jsonl": "7fdaab69daddff28c373e9fa696f6035a8f33889772527b0a4ffd805f07b8923",
-        "trace_exkmc_k6.jsonl": "59471d45d068d8b9dc86425a93edb577d8a0f8841a077201f0042f38e37e7866",
+        "trace_exkmc_k6.jsonl": "f543b0a6b62f0ce1971ffdf6f47274403da7289102079d73750334daf524626e",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
-        "tree_exkmc_imm_k6.dot": "f72e53b72ca172e6ebdc738e3a79d78bd6a87af578980065a236a3e6ce8d0084",
-        "tree_exkmc_imm_k6.json": "b48de29bb1f7ec300304b3a977f48bdc7f5ed2cbf6a174797e141cccb5840f45",
+        "tree_exkmc_imm_k6.dot": "775fb47dd33eb0f595d04e6c4322ee148bcce8854846d1240e1a7ffca0c9bccf",
+        "tree_exkmc_imm_k6.json": "2e7a3fc45ce5b8b7612743fe84aff6ff0543fe4aa8674747277f272590b4a2a1",
         "tree_exkmc_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
-        "tree_exkmc_k6.dot": "f72e53b72ca172e6ebdc738e3a79d78bd6a87af578980065a236a3e6ce8d0084",
-        "tree_exkmc_k6.json": "b48de29bb1f7ec300304b3a977f48bdc7f5ed2cbf6a174797e141cccb5840f45",
+        "tree_exkmc_k6.dot": "775fb47dd33eb0f595d04e6c4322ee148bcce8854846d1240e1a7ffca0c9bccf",
+        "tree_exkmc_k6.json": "2e7a3fc45ce5b8b7612743fe84aff6ff0543fe4aa8674747277f272590b4a2a1",
         "tree_gini_tree_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_gini_tree_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
         "tree_gini_tree_k6.dot": "ab5629ec4e06b0f342dee0621116d95e65f10a565500f35c1bac4a992affe109",
@@ -143,25 +143,25 @@ GOLDEN = {
         "tree_kdtree_k6.json": "11f2e8974adfc9a47d817504e2605ac93af8a3fdb546bf8da3ddda697bf856c4"
     },
     "iris_deep": {
-        "results.csv": "36d917ec906f8c3bd69dcb6285394ffae01428b94c60317791a404bb0b57de9f",
-        "trace_exkmc_imm_k150.jsonl": "8e22280f655e95c1e09250fc955f028ea89d4701f99e058dc26dfeee2522ec94",
+        "results.csv": "6ef9e860095392c724c625fcf8707934e184dcbdef009a355e03a7ed475de89f",
+        "trace_exkmc_imm_k150.jsonl": "70caa2814493818097348990e2e11bdb28408aa2d4e38043812e79655bc1dc92",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k40.jsonl": "7533bbfa5385f1633ab5509de47625eefc12552fa42e72e5ce2b6cc1e1781ddf",
-        "trace_exkmc_k150.jsonl": "1429c4190472d7fae4ab228271f5a26e052efdda3920f74c811891d009b4569d",
+        "trace_exkmc_imm_k40.jsonl": "a3fd77eb1bcfaef47d6eae4bba3bdd29e40d86942610460865f9ede0146c4617",
+        "trace_exkmc_k150.jsonl": "3df06628a416cac3ddbf68b241e7611d6925e8f8471463163fa32fe97653dad6",
         "trace_exkmc_k3.jsonl": "7fdaab69daddff28c373e9fa696f6035a8f33889772527b0a4ffd805f07b8923",
-        "trace_exkmc_k40.jsonl": "8d6e428b3ae87a783ecefa764c8bffa0db8a94769ef97bd6716938dd951df470",
-        "tree_exkmc_imm_k150.dot": "5a9b0ad75a82baa4f0466341e5f196051043e00cebbb7ed8aaf73e7ff0058671",
-        "tree_exkmc_imm_k150.json": "0f2b19169fde1f9e2554c3bb24ad974f90dbeb9400d8cd9660e9f75d7a4866f6",
+        "trace_exkmc_k40.jsonl": "0605f6c46d00e06c1e1c1a1fe8602f9a88b7a0195fc0d62947ec795c343f9e94",
+        "tree_exkmc_imm_k150.dot": "f3b89f74735907361aa9f34114a0aa0c64e3fc6493bd58b359b30727184660fc",
+        "tree_exkmc_imm_k150.json": "5d3efcf7970e6c356ec9f55882889ce89e9ece1e831ef15695b3d77e1b5195f1",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
-        "tree_exkmc_imm_k40.dot": "0666e8510fc86eaede43bdecd0b98a62acdd032b47928d3556e75ab1b0573a51",
-        "tree_exkmc_imm_k40.json": "3b1019d93a30f0e219bb52666ab722a77601c6bed6ccd57529d6e1587cf97254",
-        "tree_exkmc_k150.dot": "5a9b0ad75a82baa4f0466341e5f196051043e00cebbb7ed8aaf73e7ff0058671",
-        "tree_exkmc_k150.json": "0f2b19169fde1f9e2554c3bb24ad974f90dbeb9400d8cd9660e9f75d7a4866f6",
+        "tree_exkmc_imm_k40.dot": "4899a88201b321ef0e34deafc8e3f72ed8f4ba60b66f13bdc6455552131a74a1",
+        "tree_exkmc_imm_k40.json": "80d38079cd4861fc09619e15c757633f91c97f29efe02611c2e6182aa91d9fbb",
+        "tree_exkmc_k150.dot": "f3b89f74735907361aa9f34114a0aa0c64e3fc6493bd58b359b30727184660fc",
+        "tree_exkmc_k150.json": "5d3efcf7970e6c356ec9f55882889ce89e9ece1e831ef15695b3d77e1b5195f1",
         "tree_exkmc_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
-        "tree_exkmc_k40.dot": "0666e8510fc86eaede43bdecd0b98a62acdd032b47928d3556e75ab1b0573a51",
-        "tree_exkmc_k40.json": "3b1019d93a30f0e219bb52666ab722a77601c6bed6ccd57529d6e1587cf97254",
+        "tree_exkmc_k40.dot": "4899a88201b321ef0e34deafc8e3f72ed8f4ba60b66f13bdc6455552131a74a1",
+        "tree_exkmc_k40.json": "80d38079cd4861fc09619e15c757633f91c97f29efe02611c2e6182aa91d9fbb",
         "tree_gini_tree_k150.dot": "ab5629ec4e06b0f342dee0621116d95e65f10a565500f35c1bac4a992affe109",
         "tree_gini_tree_k150.json": "722d13b81358ebc8ccacb89e499cedea5d1785cbea13696a0d34c383235931f0",
         "tree_gini_tree_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
@@ -182,10 +182,10 @@ GOLDEN = {
         "tree_kdtree_k40.json": "e489e03868a9e6e53a42283cca22a4200b4b47d006a4e1c29f68341c7dac003f"
     },
     "synthetic2_wide": {
-        "results.csv": "546721db2680823ed1c4f90088d97b799979bd7f8e869e7784cfbdd6ebd595a2",
-        "trace_exkmc_imm_k12.jsonl": "708d66ce2c6d2e1dbb8a7d547e5f1b67323b67a5a8dd594e3112d05bf58bc94b",
+        "results.csv": "d409faa49521c7382501dd46312ccbf19e557ad0c63454098bd530c572ab8c3f",
+        "trace_exkmc_imm_k12.jsonl": "7187a355bbbb89a4a80af2c8b50fe1b9a00b6da12177efa2e71ae90ef0211b31",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_k12.jsonl": "d764e85919897321c4f738c76d481160be3d4e19c69238dd8015d7b32000ee42",
+        "trace_exkmc_k12.jsonl": "eb39e08874b38ef7d4a6f27be1d45955a6a8030d5fb97548ab0c2a5cc3c66948",
         "trace_exkmc_k3.jsonl": "c240646c048da0cdcddd7b40658a96a18131def3f00cebc74cb94575d2e85b56",
         "tree_exkmc_imm_k12.dot": "fb5b224c2ce9fdee5832ddd4c60ca6af8fa8d14e3170ceeda1c558d86de86a80",
         "tree_exkmc_imm_k12.json": "7e3cb59cf75815bc246b42c7419eed6c69316bf509af19784d943166a5550f0e",
@@ -203,8 +203,8 @@ GOLDEN = {
         "tree_imm_k12.json": "eec0043e436c1680d24919a5da5d3aecff9208e730b7dfcc379f0eb3a7a4bbc4",
         "tree_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
         "tree_imm_k3.json": "eec0043e436c1680d24919a5da5d3aecff9208e730b7dfcc379f0eb3a7a4bbc4",
-        "tree_kdtree_k12.dot": "05ef5fb49300e948dd95313373edb162b30c2dea03a5601181a410ba80a5ebaa",
-        "tree_kdtree_k12.json": "c85e53720382c8efdfa3da0f06c31b6583e04698c5c709283c356142d1dd2bdd",
+        "tree_kdtree_k12.dot": "8e5629df60542108ad20bf2b234a2dc96cf84974889c4c7d0a765b1a666aa2cc",
+        "tree_kdtree_k12.json": "6a7ab620db02639d0b8be6801bec2f891f2d50b0247564f8bcc7b57657b79e0f",
         "tree_kdtree_k3.dot": "dcb5e8d91ae9930bb4e47d0e3823400f85ce03bf50525b7068dbbb851e4caf58",
         "tree_kdtree_k3.json": "4dcf4c2a45698c61a40eef37b9ba1a19bb17a64d7b7a28fb198ac9d9c34caaf3"
     }
