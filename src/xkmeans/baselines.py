@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center
+from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center, cell_stats
 from xkmeans.exkmc import prefix_scan
 from xkmeans.tree import ThresholdTree, grow
 
@@ -25,13 +25,13 @@ def _lower_median(values: np.ndarray) -> float:
     return float(np.sort(values)[(values.size - 1) // 2])
 
 
-def _kd_split(points: np.ndarray) -> tuple[int, float] | None:
-    """Highest-variance feature at its lower-median value; None when the
-    leaf has fewer than two distinct points."""
+def _kd_split(points: np.ndarray, stats) -> tuple[int, float] | None:
+    """Highest-variance feature (from the cell's `cell_stats`) at its lower
+    median; None when the leaf has fewer than two distinct points."""
     spread = points.max(axis=0) - points.min(axis=0)
     if not (spread > 0).any():
         return None
-    feature = int(np.argmax(points.var(axis=0)))
+    feature = int(np.argmax(stats[2] / stats[0]))  # the features' np.var
     vals = points[:, feature]
     theta = _lower_median(vals)
     if theta >= vals.max():
@@ -49,8 +49,9 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     tree = ThresholdTree()
 
     def propose(leaf, ids, points, splittable):
-        tree.set_leaf_label(leaf, best_center(points, M)[0])
-        split = _kd_split(points) if splittable else None
+        stats = cell_stats(points)
+        tree.set_leaf_label(leaf, best_center(stats, M)[0])
+        split = _kd_split(points, stats) if splittable else None
         return None if split is None else (ids.size, *split)
 
     for _ in grow(X, tree, max_leaves, propose):

@@ -3,8 +3,8 @@
 Everything downstream (tree builders, the expansion loop, the benchmark
 runner) is measured through `kmeans_cost` and `surrogate_cost`. The cost of
 a cell against a fixed center uses squared Euclidean distance throughout;
-no other metric is supported. `best_center` is the one kernel that prices
-a cell against its cheapest fixed center, wherever a cell is priced.
+no other metric is supported. `best_center` prices a cell from its
+`cell_stats` against its cheapest fixed center, wherever a cell is priced.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "CostReport",
     "kmeans_cost",
     "surrogate_cost",
+    "cell_stats",
     "best_center",
     "accuracy",
     "load_csv",
@@ -169,18 +170,25 @@ def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
     return total
 
 
-def best_center(points, M: CenterSet) -> tuple[int, float]:
-    """Index and cost of the cheapest fixed center for a cell, given as an
-    (m, d) array of its points; an empty cell costs 0. Ties go to the lowest
-    index within 1e-9 relative of the cheapest cost, so that centers tied in
-    exact arithmetic do not hang on the last bit of a sum."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] == 0:
-        return 0, 0.0
-    costs = np.empty(M.k)
-    for j in range(M.k):
-        diff = points - M.centers[j]
-        costs[j] = np.einsum("ij,ij->", diff, diff)
+def cell_stats(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(m, mean, ss) of an (m, d) cell: ss is each feature's sum of squared
+    deviations from the mean, and `ss / m` is `np.var` bit for bit."""
+    m = points.shape[0]
+    mean = points.sum(axis=0) / max(m, 1)  # np.mean's sum and division; 0 when empty
+    dev = points - mean
+    dev *= dev
+    return m, mean, dev.sum(axis=0)
+
+
+def best_center(stats, M: CenterSet) -> tuple[int, float]:
+    """Index and cost of the cheapest fixed center for a cell given by its
+    `cell_stats` (an empty cell costs 0), by the parallel-axis identity
+    sum_{x in C} |x - mu|^2 = ss.sum() + m |mean - mu|^2: O(k d), and exact
+    under a shared shift of points and centers. Ties go to the lowest index
+    within 1e-9 relative of the cheapest, not to the last bit of a sum."""
+    m, mean, ss = stats
+    diff = M.centers - mean
+    costs = ss.sum() + m * np.einsum("ij,ij->i", diff, diff)
     j = int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))
     return j, float(costs[j])
 
@@ -205,10 +213,7 @@ def surrogate_cost(X: DataMatrix, leaf_partition: Sequence, M: CenterSet) -> flo
     covered = np.concatenate([c for c in cells if c.size] or [np.empty(0, np.int64)])
     if covered.size != X.n or not np.array_equal(np.sort(covered), np.arange(X.n)):
         raise ValueError("leaf partition must cover each point id exactly once")
-    total = 0.0
-    for cell in cells:
-        total += best_center(X.points[cell], M)[1]
-    return total
+    return float(sum(best_center(cell_stats(X.points[cell]), M)[1] for cell in cells))
 
 
 def accuracy(reference: Assignment, induced: Assignment) -> float:

@@ -9,12 +9,15 @@ each leaf's priority; `expand` prices and labels each new cell and records
 each step in the trace.
 
 The split scan avoids evaluating every (threshold, center) pair from
-scratch. For a cell C and center mu,
+scratch. For a side S of the cell and a center mu,
 
-    sum_{x in C} |x - mu|^2 = sum |x|^2 - 2 <sum_{x in C} x, mu> + |C| |mu|^2,
+    sum_{x in S} |x - mu|^2 = sum |x|^2 - 2 <sum_{x in S} x, mu> + |S| |mu|^2,
 
-and the first term does not depend on the split, so ranking splits only
-needs running inner products <x, mu> accumulated in sorted feature order.
+and the first term, summed over both sides, does not depend on the split,
+so ranking splits only needs running inner products <x, mu> accumulated in
+sorted feature order. x and mu are measured from the cell's mean: then
+every term is the size of the cell's spread, not of its distance from the
+origin, as in the parallel-axis pricing of `core.best_center`.
 One sort per feature plus an O(k) update per threshold gives
 O(d k n + d n log n) per scanned leaf. The scan runs center-major: for a
 block of features, each center's products are cumsummed in sorted order as
@@ -25,13 +28,13 @@ That search, `prefix_scan`, is also the gini baseline's, on label counts.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cluster_sums
+from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -68,17 +71,7 @@ class TraceStep:
     kmeans_cost: float
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "leaf": self.leaf,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left_label": self.left_label,
-            "right_label": self.right_label,
-            "gain": self.gain,
-            "surrogate_cost": self.surrogate_cost,
-            "kmeans_cost": self.kmeans_cost,
-        }
+        return asdict(self)  # the fields in declaration order
 
 
 @dataclass(frozen=True)
@@ -146,18 +139,22 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     tied and resolved to the lowest (feature, threshold); distinct splits
     can have algebraically identical costs (any split whose sides keep the
     parent's center does), so an exact-equality tie-break would be at the
-    mercy of summation order. For the same reason each side takes the
-    lowest center within that tolerance of its cheapest, and a gain smaller
-    than the tolerance, of either sign, is 0.0. The result does not depend
-    on `jobs`.
+    mercy of summation order. So each side takes its lowest center within
+    tol of its cheapest, and a gain below tol is 0.0. Any `jobs` gives the
+    same result.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
-    centers = M.centers
-    P = points @ centers.T
+    if m < 2:
+        return None
+    # centered, the identity's terms are the size of the cell's spread
+    mean = points.mean(axis=0)
+    centered = points - mean
+    centers = M.centers - mean
+    P = centered @ centers.T
     m2 = np.einsum("ij,ij->i", centers, centers)
     s_tot = P.sum(axis=0)
-    sumsq = float(np.einsum("ij,ij->", points, points))
+    sumsq = float(np.einsum("ij,ij->", centered, centered))
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
     counts = np.arange(1, m, dtype=np.float64)
@@ -174,7 +171,6 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     if found is None:
         return None
     score, feature, theta, n_left, cum = found
-    # each side's lowest center within tol of its cheapest
     lcost = -2.0 * cum + lm2[:, n_left - 1]
     rcost = -2.0 * (s_tot - cum) + rm2[:, n_left - 1]
     ll = int(np.argmax(lcost <= lcost.min() + tol))
@@ -190,33 +186,30 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
 
 
 class _ClusterAggregates:
-    """Per-cluster count / sum / sum-of-squares, for O(kd) induced-cost updates."""
+    """Count, mean and within-cluster sum of squares W of each cluster,
+    moved cell by cell in O(d) by the merge formula of Chan, Golub & LeVeque
+    ("Algorithms for Computing the Sample Variance", Am. Stat. 1983)."""
 
-    def __init__(self, pts: np.ndarray, labels: np.ndarray, k: int):
-        self.count = np.bincount(labels, minlength=k).astype(np.int64)
-        self.sums = cluster_sums(pts, labels, k)
-        # bincount adds in row order; a masked 1-D sum would be pairwise
-        self.sumsq = np.bincount(labels, weights=np.einsum("ij,ij->i", pts, pts), minlength=k)
+    def __init__(self, k: int, d: int):
+        self.count = np.zeros(k, dtype=np.int64)
+        self.mean = np.zeros((k, d))
+        self.W = np.zeros(k)
 
-    def move(self, block: np.ndarray, src: int, dst: int) -> None:
-        """Move the points of `block` (rows) from cluster src to dst."""
-        if block.shape[0] == 0 or src == dst:
+    def merge(self, stats, j: int, sign: int = 1) -> None:
+        """Add a cell's `cell_stats` to cluster j, or with sign -1 remove them."""
+        m, mean, ss = stats
+        n_old = int(self.count[j])
+        n = n_old + sign * m
+        if n == 0:  # emptied: no stale mean for the next merge
+            self.count[j], self.mean[j], self.W[j] = 0, 0.0, 0.0
             return
-        s = block.sum(axis=0)
-        q = float(np.einsum("ij,ij->", block, block))
-        self.sums[src] -= s
-        self.sums[dst] += s
-        self.sumsq[src] -= q
-        self.sumsq[dst] += q
-        self.count[src] -= block.shape[0]
-        self.count[dst] += block.shape[0]
+        delta = mean - self.mean[j]
+        self.W[j] += sign * (ss.sum() + n_old * m / n * float(delta @ delta))
+        self.mean[j] += sign * m / n * delta
+        self.count[j] = n
 
     def cost(self) -> float:
-        nz = self.count > 0
-        per = self.sumsq[nz] - np.einsum(
-            "ij,ij->i", self.sums[nz], self.sums[nz]
-        ) / self.count[nz]
-        return float(np.maximum(per, 0.0).sum())
+        return float(np.maximum(self.W, 0.0).sum())
 
 
 def expand(
@@ -231,13 +224,12 @@ def expand(
 
     Zero-gain splits are taken as long as a valid split exists; a leaf whose
     points are all identical is skipped, and the loop ends early once every
-    leaf is unsplittable. Ties on gain go to the lowest leaf id, and a gain
-    within 1e-9 relative of zero is zero, so round-off does not order the
-    zero-gain plateau. Leaves made by the split that reaches k_prime are
-    priced but not scanned. `base` may
-    be any tree whose leaves are labeled (a lone unlabeled root gets the best
-    center): built, cut with `prefix` or loaded with `from_json`, since its
-    cells come from routing X. The input tree is not modified.
+    leaf is unsplittable. Ties on gain go to the lowest leaf id; round-off
+    gains count as zero (see `scan_best_split`). Leaves made by the split
+    that reaches k_prime are priced but not scanned. `base` may be any tree whose leaves are labeled
+    (a lone unlabeled root gets its best center): built, cut with `prefix`
+    or loaded with `from_json`, since its cells come from routing X. The
+    input tree is not modified.
     `stop_condition`, when given, sees each step as it is taken and ends the
     expansion early when it returns True.
     """
@@ -246,39 +238,36 @@ def expand(
     if k_prime < base.leaf_count:
         raise ValueError(f"budget {k_prime} is below the base leaf count {base.leaf_count}")
     tree = base.copy()
-    leaves = tree.leaf_ids()
-    if len(leaves) == 1 and tree.node(leaves[0]).label is None:
-        tree.set_leaf_label(leaves[0], best_center(X.points, M)[0])
-    for i in leaves:
-        if tree.node(i).label is None:
+    for i in tree.leaf_ids():
+        if tree.node(i).label is None and tree.leaf_count > 1:
             raise ValueError(f"base leaf {i} is unlabeled")
 
     leaf_cost: dict[int, float] = {}
-    labels = np.empty(X.n, dtype=np.int64)
+    fresh: dict[int, tuple] = {}  # cell stats of the leaves not yet in `agg`
 
     def propose(leaf, ids, points, splittable):
-        label, leaf_cost[leaf] = best_center(points, M)
-        parent = tree.node(leaf).label
-        if parent is None:  # a new child, whose points all carry the parent's label
-            parent = labels[ids[0]]
+        fresh[leaf] = stats = cell_stats(points)
+        label, leaf_cost[leaf] = best_center(stats, M)
+        if tree.node(leaf).label is None:  # a new child, or the root of an empty tree
             tree.set_leaf_label(leaf, label)
-            if label != parent:
-                agg.move(points, parent, label)
-                labels[ids] = label
-        else:
-            labels[ids] = parent
         cand = scan_best_split(points, M, jobs=jobs) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)
-    # grow proposed every base leaf before returning, so `labels` is complete
-    agg = _ClusterAggregates(X.points, labels, M.k)
+    agg = _ClusterAggregates(M.k, X.d)  # grow proposed every base leaf already
+    for leaf in tree.leaf_ids():
+        agg.merge(fresh.pop(leaf), tree.node(leaf).label)
     initial_surrogate = float(sum(leaf_cost.values()))
     initial_kmeans = agg.cost()
 
     trace: list[TraceStep] = []
     for leaf in splits:
         node = tree.node(leaf)
+        for child in (node.left, node.right):  # its points leave the parent's cluster
+            stats, label = fresh.pop(child), tree.node(child).label
+            if label != node.label:
+                agg.merge(stats, node.label, -1)
+                agg.merge(stats, label)
         lc, rc = leaf_cost[node.left], leaf_cost[node.right]
         prev_cost = leaf_cost.pop(leaf)
         gain = prev_cost - (lc + rc)

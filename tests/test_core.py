@@ -15,6 +15,7 @@ from xkmeans.core import (
     DataMatrix,
     accuracy,
     best_center,
+    cell_stats,
     cluster_sums,
     kmeans_cost,
     load_csv,
@@ -145,8 +146,33 @@ class TestSurrogateCost:
     def test_best_center_tie_breaks_low_index(self):
         X = DataMatrix([[0.0]])
         M = CenterSet([[1.0], [-1.0]])
-        label, cost = best_center(X.points[[0]], M)
+        label, cost = best_center(cell_stats(X.points[[0]]), M)
         assert label == 0 and cost == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 130])
+def test_cell_stats_variance_is_np_var_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for m in (1, 7, 500):
+        pts = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 6) + rng.choice([0.0, 1e6])
+        n, mean, ss = cell_stats(pts)
+        assert n == m and mean.tobytes() == pts.mean(axis=0).tobytes()
+        assert (ss / m).tobytes() == pts.var(axis=0).tobytes()
+    n, mean, ss = cell_stats(np.empty((0, d)))
+    assert n == 0 and mean.shape == ss.shape == (d,) and not mean.any() and not ss.any()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_best_center_prices_by_parallel_axes(offset):
+    # W + m |mean - mu|^2 against the direct sum of squared differences
+    rng = np.random.default_rng(7)
+    for m in (1, 5, 200):
+        pts = rng.normal(size=(m, 3)) + offset
+        M = CenterSet(rng.normal(size=(4, 3)) * 2.0 + offset)
+        direct = [float(((pts - c) ** 2).sum()) for c in M.centers]
+        j, cost = best_center(cell_stats(pts), M)
+        assert j == int(np.argmin(direct))
+        assert cost == pytest.approx(min(direct), rel=1e-9)
 
 
 class TestAccuracy:
@@ -186,7 +212,7 @@ def test_surrogate_upper_bounds_kmeans(n, d, cells, k, seed):
     merged = np.zeros(n, dtype=np.int64)
     for cell in partition:
         if cell.size:
-            merged[cell] = best_center(X.points[cell], M)[0]
+            merged[cell] = best_center(cell_stats(X.points[cell]), M)[0]
     km = kmeans_cost(X, Assignment(merged))
     assert km <= sur * (1 + 1e-9) + 1e-12
 

@@ -13,6 +13,7 @@ from xkmeans.core import (
     CenterSet,
     DataMatrix,
     best_center,
+    cell_stats,
     kmeans_cost,
     surrogate_cost,
 )
@@ -61,7 +62,7 @@ def split_sides(points, M, feature, threshold):
     """(label, cost) of the best center of each side of a split: how
     `expand` labels and prices the two cells a split makes."""
     mask = points[:, feature] <= threshold
-    return best_center(points[mask], M), best_center(points[~mask], M)
+    return best_center(cell_stats(points[mask]), M), best_center(cell_stats(points[~mask]), M)
 
 
 def replay_trace(X, M, base, result):
@@ -112,7 +113,7 @@ class TestSplitCost:
     def test_semantically_empty_split_keeps_cost(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
         M = CenterSet([[0.1, 0.0], [50.0, 0.0]])
-        pre = best_center(pts, M)[1]
+        pre = best_center(cell_stats(pts), M)[1]
         (_, lc), (_, rc) = split_sides(pts, M, 0, 0.0)
         assert lc + rc == pytest.approx(pre)
 
@@ -175,7 +176,7 @@ class TestScanBestSplit:
             if vals.size < 2:
                 continue
             theta = float(rng.choice(vals[:-1]))
-            pre = best_center(pts, M)[1]
+            pre = best_center(cell_stats(pts), M)[1]
             (_, lc), (_, rc) = split_sides(pts, M, f, theta)
             assert lc + rc <= pre * (1 + 1e-9) + 1e-12
             checked += 1
@@ -332,10 +333,48 @@ def test_exactly_tied_centers_go_to_the_lowest_index(seed):
     cell = np.vstack([half, half * [-1.0, 1.0]])
     c = rng.normal(size=2)
     M = CenterSet([c * [-1.0, 1.0], c, [0.0, 50.0]])
-    assert best_center(cell, M)[0] == 0
+    assert best_center(cell_stats(cell), M)[0] == 0
     # split from a far group nearest the third center, the cell is a side
     split = scan_best_split(np.vstack([cell, cell + [0.0, 50.0]]), M)
     assert (split.feature, split.left_label, split.right_label) == (1, 0, 2)
+
+
+def test_lone_root_is_priced_once(monkeypatch):
+    priced = []
+
+    def counting_best_center(stats, M):
+        priced.append(stats)
+        return best_center(stats, M)
+
+    monkeypatch.setattr(exkmc, "best_center", counting_best_center)
+    result = expand(FOUR_POINTS, TWO_CENTERS, ThresholdTree(), 2)
+    assert len(priced) == 3  # the whole-X root, then its two children
+    assert priced[0][0] == FOUR_POINTS.n
+    assert result.tree.node(0).label == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1e4, 1e6, 1e8]),
+    st.integers(0, 10**6),
+)
+def test_scan_matches_naive_under_a_shared_offset(n, d, k, offset, seed):
+    # shifting the points and the centers together changes no cost, so the
+    # scan must pick criterion 1's split wherever the cell sits
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d)) + offset
+    M = CenterSet(rng.normal(size=(k, d)) + offset)
+    got = scan_best_split(pts, M)
+    want = naive_best_split(pts, M.centers)
+    if want is None:
+        assert got is None
+        return
+    assert (got.feature, got.threshold) == (want[1], want[2])
+    assert (got.left_label, got.right_label) == (want[3], want[4])
+    assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
 
 
 def test_unlabeled_multi_leaf_base_rejected():
@@ -559,23 +598,33 @@ def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
         assert scan_best_split(pts, M, jobs=jobs) == scan_best_split(pts, M)
 
 
-def add_at_aggregates(pts, labels, k):
-    sums = np.zeros((k, pts.shape[1]))
-    np.add.at(sums, labels, pts)
-    sumsq = np.zeros(k)
-    np.add.at(sumsq, labels, np.einsum("ij,ij->i", pts, pts))
-    return sums, sumsq
-
-
-@pytest.mark.parametrize("d", [1, 2, 1000])
-def test_cluster_aggregates_match_add_at_bit_for_bit(d):
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("d", [1, 2, 50])
+def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
+    # blocks move between clusters by signed merges, some of them a whole
+    # cluster; the cost must follow the two-pass k-means cost of the labels
     rng = np.random.default_rng(d)
-    k = 3
-    for n in (1, 40, 1200):
-        pts = rng.normal(size=(n, d)) * 1e4 + rng.choice([0.0, 1e6])
-        labels = rng.integers(0, k - 1, size=n)  # cluster k - 1 stays empty
-        agg = _ClusterAggregates(pts, labels, k)
-        sums, sumsq = add_at_aggregates(pts, labels, k)
-        assert agg.sums.shape == (k, d) and agg.sums.tobytes() == sums.tobytes()
-        assert agg.sumsq.tobytes() == sumsq.tobytes()
+    k, n = 4, 600
+    X = DataMatrix(rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d) + offset)
+    labels = rng.integers(0, k - 1, size=n)  # cluster k - 1 starts empty
+    agg = _ClusterAggregates(k, d)
+    for j in range(k):
+        agg.merge(cell_stats(X.points[labels == j]), j)
+    emptied = 0
+    for _ in range(40):
+        src, dst = rng.choice(np.unique(labels)), rng.integers(0, k)
+        ids = np.flatnonzero(labels == src)
+        if src == dst:
+            continue
+        if rng.random() < 0.2:
+            block = ids  # the whole cluster
+            emptied += 1
+        else:
+            block = rng.choice(ids, size=int(rng.integers(1, ids.size + 1)), replace=False)
+        stats = cell_stats(X.points[block])
+        agg.merge(stats, src, -1)
+        agg.merge(stats, dst)
+        labels[block] = dst
         assert agg.count.tolist() == np.bincount(labels, minlength=k).tolist()
+        assert agg.cost() == pytest.approx(kmeans_cost(X, Assignment(labels)), rel=1e-8)
+    assert emptied > 0

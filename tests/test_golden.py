@@ -38,13 +38,13 @@ CASES = {
 # case -> output file -> sha256
 GOLDEN = {
     "blobs_1d": {
-        "results.csv": "f8d4d57d22c8bcb18147a6025bdcee3e142a9cab4a439653160188b8d42b547b",
-        "trace_exkmc_imm_k12.jsonl": "9b8fded0cfdaac6e74f6b87c5dac70e593045b70115e8adaba8baf305004e333",
+        "results.csv": "0a12953e278acf9a503aaf34e4da009dff5fdc16f017a4695833349e8260ebc6",
+        "trace_exkmc_imm_k12.jsonl": "61b69d877a2cc03c9435f99aca0113ae16bba6fb563cc7bda5306f041ba41f9b",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "fc17e94e59b6e21786dd2a1b4e937b26175b47dacdc87bc0719405cbb23c8ba3",
-        "trace_exkmc_k12.jsonl": "24f38815deb3fa29a359203f059e6120a3c3973bd7dee4dcfdddab4ef5664f05",
-        "trace_exkmc_k3.jsonl": "b1301f38b3ab6a074f4b2300c365bd8b1eb2bc282431b3e2dad1b5e2fc3b4a6c",
-        "trace_exkmc_k6.jsonl": "a8537b678cc11b6eac636950c79367e020b9b94f70274f7718bc9e34a0412f10",
+        "trace_exkmc_imm_k6.jsonl": "597ad108f6d6f28c4373d4a1420057085159c7802f28086dc4c91353f540df1b",
+        "trace_exkmc_k12.jsonl": "9da26647e779934a5d680c542ffd02ab6ab96d16ff9d934dd3b3f23a138d5c1d",
+        "trace_exkmc_k3.jsonl": "7108c0ecf24eeec4f037c971475b5e6d5651f2d694ae374004e8157a1dbf0372",
+        "trace_exkmc_k6.jsonl": "795f6943fd636e5622160c83d2f44de6dfa5bb31f9b6fae4e4105b608f5c6633",
         "tree_exkmc_imm_k12.dot": "05d763cb7dcecdf08ccb6033f01434da93108b8cefe7bd31acb9db0e07be0332",
         "tree_exkmc_imm_k12.json": "59f880afcf37915c51acbafd5756760f3b2a00e44844943f26824dccf4db4e82",
         "tree_exkmc_imm_k3.dot": "42f67c986b89c763f90a5c1fa3bb2283852b41e22ea2f09fe51f7f45fc809792",
@@ -77,13 +77,13 @@ GOLDEN = {
         "tree_kdtree_k6.json": "bd31e619c94c228f782c4d852163650d37c16bad872689974021dc6813929e71"
     },
     "blobs_2d": {
-        "results.csv": "c0e90cd7dc1e632d8400f6ff1e3112610f2fb77a4f453b22c6a39240b841f571",
-        "trace_exkmc_imm_k16.jsonl": "9b0b7d4e1a07882b985b07721a8a30fe8f139400ec75f1d3265d1dd82d2587d3",
+        "results.csv": "4ca4f05cf66f833862cbd2faf98c741ab849ccd97682ef75feb5e65c0b76590c",
+        "trace_exkmc_imm_k16.jsonl": "2657f91cfab3ce78cbd1b62cb689427810a484ae4084a33537a571832f611aaa",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k8.jsonl": "f285951b4df6a20f389113a78cd7794e6dc1d6d1b9210c424253dee88d173e08",
-        "trace_exkmc_k16.jsonl": "c08c0ed4703994ade39d5adf5048ae91d2dd7ea41a295168a846528a34a759ab",
-        "trace_exkmc_k4.jsonl": "020be36b4ec0d9b3c43275a2f86999f4df6eede1fd71b0333524e6997a465ada",
-        "trace_exkmc_k8.jsonl": "9cb2457bf7345c7b7e8d9450a25cd117fc2214de04b7a8d30dc8e3deb95ca242",
+        "trace_exkmc_imm_k8.jsonl": "0e2e5abbf11138ef096643f117dd7ec55ccf698b8efe81404807f6ab9f9a8932",
+        "trace_exkmc_k16.jsonl": "93cdc6aaf1b0a046fb03afea98f68b98fca08b52065d41e6c4159d138c99f6b2",
+        "trace_exkmc_k4.jsonl": "fdf7710ee30fe0d28182fcbc1f1e4354ab0673569238e396984c22bb3ee258a0",
+        "trace_exkmc_k8.jsonl": "cf96259b429fb83e1da5e80f2f5dc50717ed8af42f7bfbca91b765fe850e9d86",
         "tree_exkmc_imm_k16.dot": "33d056094c2f822d3f118f28bb078b86548c9b294172b295b82086f3a682a2d7",
         "tree_exkmc_imm_k16.json": "10cb0e4ec7f25f6539d4eed8dc92473ac63d8b827bdf4d0579efa93959969266",
         "tree_exkmc_imm_k4.dot": "ae8c09eeff21b8e5e46b49bea6bd77ef2ee807461d815f103fc79eb07ffba194",
@@ -116,11 +116,11 @@ GOLDEN = {
         "tree_kdtree_k8.json": "0a62d3321d998c88746ca7505022af1071e9cfd145cbd79bc4a9b42227aeb81e"
     },
     "iris": {
-        "results.csv": "0fa0b277d942bda89bc41f5e44e4be7d730850681363b70972aecad1dc20803f",
+        "results.csv": "7ddcb5f8e83cd6728eaf753b93bf0ec3cc2c87d589daedec4a4c8cd535c97016",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "021e5791ce69b14812377b99f7dead5296d5cd216198cd314c2246f0b55a8b92",
-        "trace_exkmc_k3.jsonl": "7fdaab69daddff28c373e9fa696f6035a8f33889772527b0a4ffd805f07b8923",
-        "trace_exkmc_k6.jsonl": "f543b0a6b62f0ce1971ffdf6f47274403da7289102079d73750334daf524626e",
+        "trace_exkmc_imm_k6.jsonl": "6907f0b9674542a8b02245a9f14fb35cad8db13ea78c54fa6dbd3dd90892b22b",
+        "trace_exkmc_k3.jsonl": "a347111417136714e5058dcf467527949dc6fa1f54d5a74c8639a42aa57bf3e9",
+        "trace_exkmc_k6.jsonl": "488617214f9282b2f71fe478d02345660b5e3043254e40d4aaf4da90f0ecef1e",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
         "tree_exkmc_imm_k6.dot": "775fb47dd33eb0f595d04e6c4322ee148bcce8854846d1240e1a7ffca0c9bccf",
@@ -143,13 +143,13 @@ GOLDEN = {
         "tree_kdtree_k6.json": "11f2e8974adfc9a47d817504e2605ac93af8a3fdb546bf8da3ddda697bf856c4"
     },
     "iris_deep": {
-        "results.csv": "6ef9e860095392c724c625fcf8707934e184dcbdef009a355e03a7ed475de89f",
-        "trace_exkmc_imm_k150.jsonl": "70caa2814493818097348990e2e11bdb28408aa2d4e38043812e79655bc1dc92",
+        "results.csv": "e7222a287a0edced81bc095a0210fc9d48bc174f2342c643b0588f8932f73100",
+        "trace_exkmc_imm_k150.jsonl": "e51075e2acd2af3a896b4473d00c1ae454a47d129468b6682426b3beb3cef0c9",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k40.jsonl": "a3fd77eb1bcfaef47d6eae4bba3bdd29e40d86942610460865f9ede0146c4617",
-        "trace_exkmc_k150.jsonl": "3df06628a416cac3ddbf68b241e7611d6925e8f8471463163fa32fe97653dad6",
-        "trace_exkmc_k3.jsonl": "7fdaab69daddff28c373e9fa696f6035a8f33889772527b0a4ffd805f07b8923",
-        "trace_exkmc_k40.jsonl": "0605f6c46d00e06c1e1c1a1fe8602f9a88b7a0195fc0d62947ec795c343f9e94",
+        "trace_exkmc_imm_k40.jsonl": "af564920c26fca2a6d03ac6757dfca724352517fdaa854e2be9e6f9d118d5e40",
+        "trace_exkmc_k150.jsonl": "6360b5f3af241de2f9e3b71fa5127fcbd241726841d2b5b8b2f44e58793ab11e",
+        "trace_exkmc_k3.jsonl": "a347111417136714e5058dcf467527949dc6fa1f54d5a74c8639a42aa57bf3e9",
+        "trace_exkmc_k40.jsonl": "60549a22cc490f6419300a204a31f2abe112a1bf458f00bceef18ab4c352287a",
         "tree_exkmc_imm_k150.dot": "f3b89f74735907361aa9f34114a0aa0c64e3fc6493bd58b359b30727184660fc",
         "tree_exkmc_imm_k150.json": "5d3efcf7970e6c356ec9f55882889ce89e9ece1e831ef15695b3d77e1b5195f1",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
@@ -182,11 +182,11 @@ GOLDEN = {
         "tree_kdtree_k40.json": "e489e03868a9e6e53a42283cca22a4200b4b47d006a4e1c29f68341c7dac003f"
     },
     "synthetic2_wide": {
-        "results.csv": "d409faa49521c7382501dd46312ccbf19e557ad0c63454098bd530c572ab8c3f",
-        "trace_exkmc_imm_k12.jsonl": "7187a355bbbb89a4a80af2c8b50fe1b9a00b6da12177efa2e71ae90ef0211b31",
+        "results.csv": "532cdb9c37a8c65815135526cf945e239032ec53e92b7db1712e6b0764fd2edd",
+        "trace_exkmc_imm_k12.jsonl": "8934dce3e37c660da6fc1260d6f66ba1d894e6e2ce907cf571def42102ccddc8",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_k12.jsonl": "eb39e08874b38ef7d4a6f27be1d45955a6a8030d5fb97548ab0c2a5cc3c66948",
-        "trace_exkmc_k3.jsonl": "c240646c048da0cdcddd7b40658a96a18131def3f00cebc74cb94575d2e85b56",
+        "trace_exkmc_k12.jsonl": "ceff09431754552a1cee2e6658e11565124edc7ea22c83a7b4c5656c0a79c006",
+        "trace_exkmc_k3.jsonl": "b2cde1725071190821404aae3aa9107e3f35a69a942a556d30a7028e49968d03",
         "tree_exkmc_imm_k12.dot": "fb5b224c2ce9fdee5832ddd4c60ca6af8fa8d14e3170ceeda1c558d86de86a80",
         "tree_exkmc_imm_k12.json": "7e3cb59cf75815bc246b42c7419eed6c69316bf509af19784d943166a5550f0e",
         "tree_exkmc_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
