@@ -31,7 +31,8 @@ def _kd_split(points: np.ndarray, stats) -> tuple[int, float] | None:
     spread = points.max(axis=0) - points.min(axis=0)
     if not (spread > 0).any():
         return None
-    feature = int(np.argmax(stats[2] / stats[0]))  # the features' np.var
+    m, _, ss = stats
+    feature = int(np.argmax(ss / m))  # ss / m is np.var, bit for bit
     vals = points[:, feature]
     theta = _lower_median(vals)
     if theta >= vals.max():

@@ -183,9 +183,9 @@ def cell_stats(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def best_center(stats, M: CenterSet) -> tuple[int, float]:
     """Index and cost of the cheapest fixed center for a cell given by its
     `cell_stats` (an empty cell costs 0), by the parallel-axis identity
-    sum_{x in C} |x - mu|^2 = ss.sum() + m |mean - mu|^2: O(k d), and exact
-    under a shared shift of points and centers. Ties go to the lowest index
-    within 1e-9 relative of the cheapest, not to the last bit of a sum."""
+    sum_{x in C} |x - mu|^2 = ss.sum() + m |mean - mu|^2: O(k d), and both
+    terms keep their precision under a shared shift of points and centers.
+    Ties go to the lowest index within 1e-9 relative of the cheapest."""
     m, mean, ss = stats
     diff = M.centers - mean
     costs = ss.sum() + m * np.einsum("ij,ij->i", diff, diff)

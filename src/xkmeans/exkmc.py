@@ -139,9 +139,9 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     tied and resolved to the lowest (feature, threshold); distinct splits
     can have algebraically identical costs (any split whose sides keep the
     parent's center does), so an exact-equality tie-break would be at the
-    mercy of summation order. So each side takes its lowest center within
-    tol of its cheapest, and a gain below tol is 0.0. Any `jobs` gives the
-    same result.
+    mercy of summation order. Each side's label is its lowest center within
+    that tolerance of its cheapest, and a smaller gain, of either sign, is
+    0.0. Any `jobs` gives the same result.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
@@ -155,6 +155,7 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     m2 = np.einsum("ij,ij->i", centers, centers)
     s_tot = P.sum(axis=0)
     sumsq = float(np.einsum("ij,ij->", centered, centered))
+    del centered  # an (m, d) copy, not to be held through the block scan
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
     counts = np.arange(1, m, dtype=np.float64)
