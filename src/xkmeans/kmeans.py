@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xkmeans.core import Assignment, CenterSet, DataMatrix, cluster_sums, kmeans_cost
+from xkmeans.core import _REL_TOL, Assignment, CenterSet, DataMatrix, cluster_sums, kmeans_cost
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeanspp_seed", "lloyd", "fit_reference"]
 
@@ -141,18 +141,19 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
     )
 
 
+def _restart(X: DataMatrix, config: KMeansConfig, stream: np.random.SeedSequence) -> KMeansResult:
+    seeds = kmeanspp_seed(X, config.k, np.random.default_rng(stream))
+    return lloyd(X, seeds, max_iter=config.max_iter, tol=config.tol)
+
+
 def fit_reference(X: DataMatrix, config: KMeansConfig) -> KMeansResult:
-    """Best of n_init seeded runs by final cost (tie: lowest restart index)."""
+    """Best of n_init seeded runs by final cost: the lowest restart index
+    within 1e-9 relative of the cheapest, as `best_center` picks centers."""
     if config.k > X.n:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
-    best: KMeansResult | None = None
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        seeds = kmeanspp_seed(X, config.k, rng)
-        run = lloyd(X, seeds, max_iter=config.max_iter, tol=config.tol)
-        if best is None or run.cost < best.cost:
-            best = run
-    assert best is not None
+    runs = [_restart(X, config, stream) for stream in streams]
+    costs = np.array([run.cost for run in runs])
+    best = runs[int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))]
     tagged = CenterSet(best.centers.centers, seed=config.seed, source="kmeans++")
     return KMeansResult(tagged, best.assignment, best.cost, best.cost_history, best.n_iter)

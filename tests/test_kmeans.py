@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost
-from xkmeans.kmeans import KMeansConfig, _update_means, fit_reference, kmeanspp_seed, lloyd
+from xkmeans import kmeans
+from xkmeans.kmeans import KMeansConfig, KMeansResult, _update_means, fit_reference, kmeanspp_seed, lloyd
 from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_ii
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
@@ -138,6 +139,36 @@ class TestFitReference:
         X, _ = gen_gaussian_blobs(2, 30, 2, separation=8.0, seed=6)
         ref = fit_reference(X, KMeansConfig(k=2, seed=77))
         assert ref.centers.seed == 77 and ref.centers.source == "kmeans++"
+
+
+@pytest.mark.parametrize(
+    "costs, kept",
+    [
+        ([1.0 + 2e-12, 1.0 + 1e-12, 1.0, 1.0, 1.0 - 1e-12], 0),  # all within 1e-9: the first
+        ([3.0, 1.0 + 1e-12, 1.0, 1.0 - 1e-12, 2.0], 1),
+        ([1.0 + 1e-6, 1.0 + 1e-12, 1.0, 1.0], 1),
+        ([1.0 + 1e-6, 1.0 + 1e-7, 1.0, 1.0], 2),
+    ],
+)
+def test_restart_ties_go_to_the_lowest_index(monkeypatch, costs, kept):
+    # each stubbed restart is known by its stream's first draw, so the stubs
+    # give every restart its cost in whatever order the restarts run
+    X = FOUR_POINTS
+    streams = np.random.SeedSequence(5).spawn(len(costs))
+    index = {np.random.default_rng(s).random(): i for i, s in enumerate(streams)}
+
+    def seed(X, k, rng):
+        return CenterSet([[rng.random(), 0.0]])
+
+    def restart(X, init, max_iter, tol):
+        i = index[float(init.centers[0, 0])]
+        labels = np.full(X.n, i % 2)
+        return KMeansResult(init, Assignment(labels), costs[i], (costs[i],), i + 1)
+
+    monkeypatch.setattr(kmeans, "kmeanspp_seed", seed)
+    monkeypatch.setattr(kmeans, "lloyd", restart)
+    ref = fit_reference(X, KMeansConfig(k=1, n_init=len(costs), seed=5))
+    assert ref.n_iter == kept + 1 and ref.cost == costs[kept]
 
 
 def add_at_update_means(pts, assign, k, old):
