@@ -193,14 +193,6 @@ def best_center(stats, M: CenterSet) -> tuple[int, float]:
     return j, float(costs[j])
 
 
-def cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) per-cluster row sums, added in row order as `np.add.at` does."""
-    if points.shape[1] == 1:
-        # a masked (m, 1) column sum would be pairwise; bincount is sequential
-        return np.bincount(labels, weights=points[:, 0], minlength=k)[:, None]
-    return np.array([points[labels == j].sum(axis=0) for j in range(k)])
-
-
 def surrogate_cost(X: DataMatrix, leaf_partition: Sequence, M: CenterSet) -> float:
     """Cost of a leaf partition when every cell uses its single best fixed center.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, Assignment, CenterSet, DataMatrix, cluster_sums, kmeans_cost
+from xkmeans.core import _REL_TOL, Assignment, CenterSet, DataMatrix
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeanspp_seed", "lloyd", "fit_reference"]
 
@@ -47,13 +47,9 @@ def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ties resolved to the lowest center index by argmin
-    d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        - 2.0 * points @ centers.T
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-    )
+def _nearest(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # sq holds each point's |x|^2; ties resolved to the lowest center index by argmin
+    d2 = sq[:, None] - 2.0 * points @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
     return np.argmin(d2, axis=1)
 
 
@@ -86,20 +82,33 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
     return CenterSet(pts[chosen], source="kmeans++")
 
 
-def _update_means(pts: np.ndarray, assign: np.ndarray, k: int, old: np.ndarray) -> np.ndarray:
-    sums = cluster_sums(pts, assign, k)
+def _cluster_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Counts, means and k-means cost of an assignment from one gather of each
+    nonempty cluster. The cost is `kmeans_cost`'s arithmetic, bit for bit."""
     counts = np.bincount(assign, minlength=k)
-    centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], old)
+    means = np.zeros((k, pts.shape[1]))
+    cost = 0.0
+    for j in np.flatnonzero(counts):
+        cluster = pts[assign == j]
+        means[j] = cluster.mean(axis=0)
+        cluster -= means[j]
+        cluster *= cluster
+        cost += float(cluster.sum())
+    return counts, means, cost
 
+
+def _update_means(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Next centers: the means, each empty cluster's (in place) reseeded to the
+    point farthest from its own cluster's mean."""
     empties = np.flatnonzero(counts == 0)
     if empties.size:
-        # reseed an empty cluster to the point farthest from its current center
-        dist = np.einsum("ij,ij->i", pts - centers[assign], pts - centers[assign])
+        dev = pts - means[assign]
+        dist = np.einsum("ij,ij->i", dev, dev)
         for j in empties:
             p = int(np.argmax(dist))
-            centers[j] = pts[p]
+            means[j] = pts[p]
             dist[p] = -1.0
-    return centers
+    return means
 
 
 def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4) -> KMeansResult:
@@ -114,19 +123,23 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
         raise ValueError("init centers and data disagree on dimension")
     k = init.k
     centers = np.array(init.centers)
-    assign = _nearest(pts, centers)
-    history = [kmeans_cost(X, Assignment(assign))]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    assign = _nearest(pts, sq, centers)
+    counts, means, cost = _cluster_pass(pts, assign, k)
+    history = [cost]
 
     it = 0
     for it in range(1, max_iter + 1):
-        new_centers = _update_means(pts, assign, k, centers)
+        new_centers = _update_means(pts, assign, counts, means)
         movement = float(
             np.max(np.linalg.norm(new_centers - centers, axis=1) / (1.0 + np.linalg.norm(centers, axis=1)))
         )
         centers = new_centers
-        new_assign = _nearest(pts, centers)
-        history.append(kmeans_cost(X, Assignment(new_assign)))
+        new_assign = _nearest(pts, sq, centers)
         stable = np.array_equal(new_assign, assign)
+        if not stable:
+            counts, means, cost = _cluster_pass(pts, new_assign, k)
+        history.append(cost)  # a stable assignment repeats the previous cost
         assign = new_assign
         if stable or movement < tol:
             break

@@ -16,7 +16,6 @@ from xkmeans.core import (
     accuracy,
     best_center,
     cell_stats,
-    cluster_sums,
     kmeans_cost,
     load_csv,
     surrogate_cost,
@@ -423,25 +422,3 @@ def test_leading_bom_is_not_a_header(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,\n5,6\n")  # read row by row
     with pytest.warns(UserWarning, match="dropping non-numeric columns: 1"):
         assert load_csv(path).points.tolist() == [[1.5], [3.0], [5.0]]
-
-
-# -- per-cluster sums against the np.add.at scatter they replace --------------
-
-
-def add_at_sums(points, labels, k):
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, labels, points)
-    return sums
-
-
-@pytest.mark.parametrize("d", [1, 2, 1000])
-def test_cluster_sums_match_add_at_bit_for_bit(d):
-    rng = np.random.default_rng(d)
-    for n, k in [(1, 1), (7, 3), (500, 4), (2000, 2)]:
-        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6) + rng.choice([0.0, 1e6])
-        labels = rng.integers(0, k, size=n)
-        if k > 1:
-            labels[labels == k - 1] = 0  # cluster k - 1 is empty
-        got = cluster_sums(pts, labels, k)
-        assert got.shape == (k, d)
-        assert got.tobytes() == add_at_sums(pts, labels, k).tobytes()

@@ -38,13 +38,13 @@ CASES = {
 # case -> output file -> sha256
 GOLDEN = {
     "blobs_1d": {
-        "results.csv": "0a12953e278acf9a503aaf34e4da009dff5fdc16f017a4695833349e8260ebc6",
-        "trace_exkmc_imm_k12.jsonl": "61b69d877a2cc03c9435f99aca0113ae16bba6fb563cc7bda5306f041ba41f9b",
+        "results.csv": "eb13430a87e6a4977f45a0f02fa254e7d92864cc6464056e7fbc635b64fb017f",
+        "trace_exkmc_imm_k12.jsonl": "2526ae08d1e666fbb7d18003ac2f1510ab6a382d1075aa1eb0bf0a367d28f765",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "597ad108f6d6f28c4373d4a1420057085159c7802f28086dc4c91353f540df1b",
-        "trace_exkmc_k12.jsonl": "9da26647e779934a5d680c542ffd02ab6ab96d16ff9d934dd3b3f23a138d5c1d",
-        "trace_exkmc_k3.jsonl": "7108c0ecf24eeec4f037c971475b5e6d5651f2d694ae374004e8157a1dbf0372",
-        "trace_exkmc_k6.jsonl": "795f6943fd636e5622160c83d2f44de6dfa5bb31f9b6fae4e4105b608f5c6633",
+        "trace_exkmc_imm_k6.jsonl": "2d42812061dbfbe3ed8539ea462024fcd0f5663d73e2e9b1231dbc78607eb7a5",
+        "trace_exkmc_k12.jsonl": "02d7e94eba0b68e0cd48fe5b72067d8a15d8b46a33f0feb85387e1680bf00c69",
+        "trace_exkmc_k3.jsonl": "b507bf9fa5361b46deb9f5f5990bce3960eb5c66fc37eefcef27e45f8c22b73b",
+        "trace_exkmc_k6.jsonl": "adf7e73ecd2c673994a2ef2cce81ed629a4c9ccdde214ccb24278da0fab32521",
         "tree_exkmc_imm_k12.dot": "05d763cb7dcecdf08ccb6033f01434da93108b8cefe7bd31acb9db0e07be0332",
         "tree_exkmc_imm_k12.json": "59f880afcf37915c51acbafd5756760f3b2a00e44844943f26824dccf4db4e82",
         "tree_exkmc_imm_k3.dot": "42f67c986b89c763f90a5c1fa3bb2283852b41e22ea2f09fe51f7f45fc809792",

@@ -3,7 +3,15 @@ import pytest
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost
 from xkmeans import kmeans
-from xkmeans.kmeans import KMeansConfig, KMeansResult, _update_means, fit_reference, kmeanspp_seed, lloyd
+from xkmeans.kmeans import (
+    KMeansConfig,
+    KMeansResult,
+    _cluster_pass,
+    _update_means,
+    fit_reference,
+    kmeanspp_seed,
+    lloyd,
+)
 from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_ii
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
@@ -108,6 +116,16 @@ class TestLloyd:
             assert np.allclose(res.centers.centers[j], X.points[ids].mean(axis=0))
 
 
+    def test_stable_final_iteration_repeats_the_previous_cost(self):
+        res = lloyd(FOUR_POINTS, CenterSet([[0.0, 0.5], [4.0, 0.5]]))
+        assert res.cost_history == (1.0, 1.0)
+        for seed in range(10):
+            X, _ = gen_gaussian_blobs(3, 90, 4, separation=3.0, seed=seed)
+            res = lloyd(X, kmeanspp_seed(X, 3, np.random.default_rng(seed)), tol=0.0)
+            # tol 0 stops only on a stable assignment, whose cost is carried over
+            assert res.cost_history[-1] == res.cost_history[-2] == res.cost
+            assert res.cost == kmeans_cost(X, res.assignment)
+
 class TestFitReference:
     def test_n_init_one_equals_single_run(self):
         X, _ = gen_gaussian_blobs(3, 60, 3, separation=6.0, seed=2)
@@ -187,9 +205,11 @@ def add_at_update_means(pts, assign, k, old):
     return centers
 
 
-@pytest.mark.parametrize("d", [1, 2, 1000])
+@pytest.mark.parametrize("d", [2, 1000])
 @pytest.mark.parametrize("empty", [False, True])
 def test_update_means_matches_add_at_bit_for_bit(d, empty):
+    # from d = 2 on, a cluster's mean adds its rows in order, as the
+    # scatter-add does; a single column is summed pairwise (see below)
     rng = np.random.default_rng(d)
     k = 4
     for n in (5, 300, 1500):
@@ -198,5 +218,21 @@ def test_update_means_matches_add_at_bit_for_bit(d, empty):
         if empty:
             assign[assign >= 2] = 0  # clusters 2 and 3 are empty and get reseeded
         old = rng.normal(size=(k, d))
-        got = _update_means(pts, assign, k, old.copy())
-        assert got.tobytes() == add_at_update_means(pts, assign, k, old.copy()).tobytes()
+        counts, means, _ = _cluster_pass(pts, assign, k)
+        got = _update_means(pts, assign, counts, means)
+        assert got.tobytes() == add_at_update_means(pts, assign, k, old).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 1000])
+def test_cluster_pass_matches_kmeans_cost_and_np_mean_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for n, k in [(1, 1), (7, 3), (500, 4), (2000, 2)]:
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6) + rng.choice([0.0, 1e6])
+        labels = rng.integers(0, k, size=n)
+        if k > 1:
+            labels[labels == k - 1] = 0  # cluster k - 1 is empty
+        counts, means, cost = _cluster_pass(pts, labels, k)
+        assert cost == kmeans_cost(DataMatrix(pts), Assignment(labels))
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        for j in np.flatnonzero(counts):
+            assert means[j].tobytes() == np.mean(pts[labels == j], axis=0).tobytes()
