@@ -67,9 +67,10 @@ def _gini_of_counts(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((p * p).sum())
 
 
-def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
+def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int, jobs: int = 1):
     """Count-weighted impurity decrease of the best split, or None for a
-    pure or unsplittable leaf. Ties go to the lowest (feature, threshold)."""
+    pure or unsplittable leaf. Ties go to the lowest (feature, threshold),
+    at any `jobs`."""
     m = points.shape[0]
     total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
     present = np.flatnonzero(total_counts)
@@ -87,7 +88,7 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
 
     # one row of label indicators per label in the cell; absent labels add 0
     rows = (labels == present[:, None]).astype(np.float64)
-    found = prefix_scan(points, rows, negative_decrease, 0.0)
+    found = prefix_scan(points, rows, negative_decrease, 0.0, jobs)
     return None if found is None else (-found[0], found[1], found[2])
 
 
@@ -95,9 +96,10 @@ def _majority(labels: np.ndarray, n_labels: int) -> int:
     return int(np.argmax(np.bincount(labels, minlength=n_labels)))
 
 
-def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> ThresholdTree:
+def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int, jobs: int = 1) -> ThresholdTree:
     """Best-first classification tree on the reference labels: at each step
-    split the frontier leaf with the largest count-weighted gini decrease."""
+    split the frontier leaf with the largest count-weighted gini decrease.
+    `jobs` threads share each split scan's feature blocks."""
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
     if reference.n != X.n:
@@ -110,7 +112,7 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
     def propose(leaf, ids, points, splittable):
         cell_labels = labels[ids]
         tree.set_leaf_label(leaf, _majority(cell_labels, n_labels))
-        return _gini_split(points, cell_labels, n_labels) if splittable else None
+        return _gini_split(points, cell_labels, n_labels, jobs) if splittable else None
 
     for _ in grow(X, tree, max_leaves, propose):
         pass

@@ -134,7 +134,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.k > X.n:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
 
-    reference = fit_reference(X, config.kmeans)
+    reference = fit_reference(X, config.kmeans, jobs=config.jobs)
     rows: list[dict] = [
         {
             "method": "reference",
@@ -170,7 +170,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         elif method == "kdtree":
             full = build_kdtree(X, reference.centers, largest)
         else:  # gini_tree
-            full = build_gini_tree(X, reference.assignment, largest)
+            full = build_gini_tree(X, reference.assignment, largest, jobs=config.jobs)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if method in ("imm", "exkmc_imm"):
             # the shared base build is part of these methods' construction
@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--leaves", default="k,2k,3k,4k", help="comma list of budgets; '3k' scales k")
     run.add_argument("--methods", default=",".join(METHODS), help="comma list of methods")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1, help="feature-parallel scan workers")
+    run.add_argument("--jobs", type=int, default=1, help="worker threads: k-means restarts and split scans")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--d", type=int, default=1024, help="synthetic dimensionality")
     run.add_argument("--n", type=int, default=500, help="blob dataset size")

@@ -7,6 +7,7 @@ single uniform draw per center so that runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,18 +155,26 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
     )
 
 
-def _restart(X: DataMatrix, config: KMeansConfig, stream: np.random.SeedSequence) -> KMeansResult:
-    seeds = kmeanspp_seed(X, config.k, np.random.default_rng(stream))
-    return lloyd(X, seeds, max_iter=config.max_iter, tol=config.tol)
-
-
-def fit_reference(X: DataMatrix, config: KMeansConfig) -> KMeansResult:
+def fit_reference(X: DataMatrix, config: KMeansConfig, jobs: int = 1) -> KMeansResult:
     """Best of n_init seeded runs by final cost: the lowest restart index
-    within 1e-9 relative of the cheapest, as `best_center` picks centers."""
+    within 1e-9 relative of the cheapest, as `best_center` picks centers.
+    The restarts run on min(jobs, n_init) threads; any `jobs` keeps the same one."""
     if config.k > X.n:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+
+    def restart(stream):
+        seeds = kmeanspp_seed(X, config.k, np.random.default_rng(stream))
+        return lloyd(X, seeds, max_iter=config.max_iter, tol=config.tol)
+
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
-    runs = [_restart(X, config, stream) for stream in streams]
+    workers = min(jobs, config.n_init)
+    if workers == 1:
+        runs = [restart(stream) for stream in streams]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(restart, streams))  # in restart order
     costs = np.array([run.cost for run in runs])
     best = runs[int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))]
     tagged = CenterSet(best.centers.centers, seed=config.seed, source="kmeans++")

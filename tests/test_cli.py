@@ -304,6 +304,17 @@ def _rows_without_time(out_dir):
     return [row[:-1] for row in csv.reader((Path(out_dir) / "results.csv").read_text().splitlines())]
 
 
+def test_jobs_do_not_change_any_output(tmp_path):
+    # 130 features: the restarts, the exkmc scan and the gini scan all thread
+    args = ["run", "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k"]
+    for jobs in ("1", "3"):
+        assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    serial = _run_files(tmp_path / "1")
+    assert len(serial) == 5 * 2 * 2 + 2 * 2
+    assert _run_files(tmp_path / "3") == serial
+    assert _rows_without_time(tmp_path / "3") == _rows_without_time(tmp_path / "1")
+
+
 @pytest.mark.parametrize("source", ["iris", "blobs"])
 def test_one_build_matches_separate_builds_per_budget(tmp_path, source):
     if source == "iris":

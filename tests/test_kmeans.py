@@ -159,6 +159,41 @@ class TestFitReference:
         assert ref.centers.seed == 77 and ref.centers.source == "kmeans++"
 
 
+    def test_seeding_error_and_bad_jobs_rejected_at_any_jobs(self):
+        X = DataMatrix([[1.0, 1.0]] * 5)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="only 1 distinct points"):
+                fit_reference(X, KMeansConfig(k=2, seed=0), jobs=jobs)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                fit_reference(FOUR_POINTS, KMeansConfig(k=2, seed=0), jobs=jobs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 1000])
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_fit_reference_does_not_depend_on_jobs(monkeypatch, d, offset):
+    # at a 1e9 offset the assignment's |x|^2 - 2 x.c + |c|^2 rounds the
+    # distances together, argmin sends whole clusters to a lower index, and
+    # the emptied clusters are reseeded
+    reseeded = []
+    update = kmeans._update_means
+
+    def spy(pts, assign, counts, means):
+        reseeded.append(int((counts == 0).sum()))
+        return update(pts, assign, counts, means)
+
+    monkeypatch.setattr(kmeans, "_update_means", spy)
+    X, _ = gen_gaussian_blobs(4, 120, d, separation=2.0, seed=d)
+    X = DataMatrix(X.points + offset)
+    cfg = KMeansConfig(k=4, seed=d)
+    want = fit_reference(X, cfg)
+    assert sum(reseeded) > 0 or offset == 0.0
+    for jobs in (2, 3, 11):  # 11 is more workers than restarts
+        got = fit_reference(X, cfg, jobs=jobs)
+        assert got.centers.centers.tobytes() == want.centers.centers.tobytes()
+        assert np.array_equal(got.assignment.labels, want.assignment.labels)
+        assert (got.cost, got.cost_history, got.n_iter) == (want.cost, want.cost_history, want.n_iter)
+
 @pytest.mark.parametrize(
     "costs, kept",
     [
@@ -168,7 +203,8 @@ class TestFitReference:
         ([1.0 + 1e-6, 1.0 + 1e-7, 1.0, 1.0], 2),
     ],
 )
-def test_restart_ties_go_to_the_lowest_index(monkeypatch, costs, kept):
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_restart_ties_go_to_the_lowest_index(monkeypatch, costs, kept, jobs):
     # each stubbed restart is known by its stream's first draw, so the stubs
     # give every restart its cost in whatever order the restarts run
     X = FOUR_POINTS
@@ -185,7 +221,7 @@ def test_restart_ties_go_to_the_lowest_index(monkeypatch, costs, kept):
 
     monkeypatch.setattr(kmeans, "kmeanspp_seed", seed)
     monkeypatch.setattr(kmeans, "lloyd", restart)
-    ref = fit_reference(X, KMeansConfig(k=1, n_init=len(costs), seed=5))
+    ref = fit_reference(X, KMeansConfig(k=1, n_init=len(costs), seed=5), jobs=jobs)
     assert ref.n_iter == kept + 1 and ref.cost == costs[kept]
 
 
