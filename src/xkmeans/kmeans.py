@@ -3,6 +3,7 @@
 The seeding step samples each new center proportionally to the squared
 distance from the already-chosen set, using cumulative-sum inversion of a
 single uniform draw per center so that runs are reproducible bit-for-bit.
+Each restart has its own seed stream, so restarts may run on threads.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def _cluster_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarr
 
 
 def _update_means(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Next centers: the means, each empty cluster's (in place) reseeded to the
-    point farthest from its own cluster's mean."""
+    """Next centers: `means`, with each empty cluster's row set (in place) to
+    the point farthest from its own cluster's mean."""
     empties = np.flatnonzero(counts == 0)
     if empties.size:
         dev = pts - means[assign]
