@@ -226,9 +226,14 @@ def test_restart_ties_go_to_the_lowest_index(monkeypatch, costs, kept, jobs):
 
 
 def add_at_update_means(pts, assign, k, old):
-    """The mean update as a scatter-add: the reference for `_update_means`."""
+    """The mean update as a scatter-add: the reference for `_update_means`.
+    A single column is summed pairwise, as `np.mean` sums a 1-d cluster."""
     sums = np.zeros((k, pts.shape[1]))
-    np.add.at(sums, assign, pts)
+    if pts.shape[1] == 1:
+        for j in range(k):
+            sums[j, 0] = np.sum(pts[assign == j, 0])
+    else:
+        np.add.at(sums, assign, pts)
     counts = np.bincount(assign, minlength=k)
     centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], old)
     empties = np.flatnonzero(counts == 0)
@@ -241,11 +246,11 @@ def add_at_update_means(pts, assign, k, old):
     return centers
 
 
-@pytest.mark.parametrize("d", [2, 1000])
+@pytest.mark.parametrize("d", [1, 2, 1000])
 @pytest.mark.parametrize("empty", [False, True])
 def test_update_means_matches_add_at_bit_for_bit(d, empty):
     # from d = 2 on, a cluster's mean adds its rows in order, as the
-    # scatter-add does; a single column is summed pairwise (see below)
+    # scatter-add does; a single column is summed pairwise, as np.sum does
     rng = np.random.default_rng(d)
     k = 4
     for n in (5, 300, 1500):
