@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_i, 
 from xkmeans.tree import ThresholdTree
 
 METHODS = ("exkmc", "exkmc_imm", "imm", "kdtree", "gini_tree")
+_IMM_FAMILY = ("imm", "exkmc_imm")  # one build group: both use the IMM base tree
 
 RESULT_COLUMNS = (
     "method",
@@ -126,8 +128,51 @@ def _score(X, tree, reference) -> CostReport:
     )
 
 
+def _build_group(X, reference, methods, budgets, jobs) -> dict:
+    """Build a group's methods at the largest budget, `jobs` threads per split
+    scan, and score each budget; a tree that repeats the previous budget's keeps
+    its report. Returns method -> (ms, trace, base leaves, [(tree, report)])."""
+    started, imm_base = time.perf_counter(), None
+    if any(m in _IMM_FAMILY for m in methods):
+        imm_base = build_imm(X, reference.centers, reference.assignment)
+    base_s = time.perf_counter() - started
+
+    built = {}
+    for method in methods:
+        # the shared base build is part of imm's and exkmc_imm's construction
+        started = time.perf_counter() - (base_s if method in _IMM_FAMILY else 0.0)
+        trace, base_leaves = None, 1
+        if method == "imm":
+            full = imm_base
+        elif method in ("exkmc", "exkmc_imm"):
+            base = imm_base if method == "exkmc_imm" else ThresholdTree()
+            base_leaves = base.leaf_count
+            result = expand(X, reference.centers, base, budgets[-1], jobs=jobs)
+            full, trace = result.tree, result.trace
+        elif method == "kdtree":
+            full = build_kdtree(X, reference.centers, budgets[-1])
+        else:  # gini_tree
+            full = build_gini_tree(X, reference.assignment, budgets[-1], jobs=jobs)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+
+        scored = []
+        for budget in budgets:
+            # greedy growth is prefix-closed: the tree at a smaller budget is
+            # the first splits of the largest build; imm has one k-leaf tree
+            tree = full if method == "imm" else full.prefix(budget)
+            same = scored and scored[-1][0].leaf_count == tree.leaf_count
+            scored.append((tree, scored[-1][1] if same else _score(X, tree, reference)))
+        built[method] = (elapsed_ms, trace, base_leaves, scored)
+    return built
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute one configuration; returns the output paths and result rows."""
+    """Execute one configuration; returns the output paths and result rows.
+
+    After the reference fit the methods build as independent groups (imm and
+    exkmc_imm share the IMM base) on min(jobs, groups) threads, each split scan
+    on max(1, jobs // groups); one group, or one job, runs them in turn with
+    every scan on `jobs`. Rows and files keep method order and their bytes."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     X = _load_dataset(config)
@@ -135,52 +180,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
 
     reference = fit_reference(X, config.kmeans, jobs=config.jobs)
-    rows: list[dict] = [
-        {
-            "method": "reference",
-            "k_prime": config.k,
-            "kmeans_cost": reference.cost,
-            "surrogate_cost": reference.cost,
-            "cost_ratio": 1.0,
-            "accuracy": 1.0,
-            "leaves": config.k,
-            "wall_time_ms": 0.0,
-        }
-    ]
+    reference_row = ("reference", config.k, reference.cost, reference.cost, 1.0, 1.0, config.k, 0.0)
+    rows: list[dict] = [dict(zip(RESULT_COLUMNS, reference_row))]
     paths: dict[str, Path] = {}
 
-    imm_base = None
-    base_ms = 0.0
-    if any(m in config.methods for m in ("imm", "exkmc_imm")):
-        base_started = time.perf_counter()
-        imm_base = build_imm(X, reference.centers, reference.assignment)
-        base_ms = (time.perf_counter() - base_started) * 1000.0
+    imm_group = [m for m in config.methods if m in _IMM_FAMILY]
+    groups = [imm_group] * bool(imm_group) + [[m] for m in config.methods if m not in imm_group]
+    workers = min(config.jobs, len(groups))
+    if workers <= 1:
+        built = [_build_group(X, reference, g, config.budgets, config.jobs) for g in groups]
+    else:
+        scan_jobs = max(1, config.jobs // len(groups))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            built = list(pool.map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups))
+    by_method = {method: out for group in built for method, out in group.items()}
 
-    largest = config.budgets[-1]
     for method in config.methods:
-        started = time.perf_counter()
-        trace, base_leaves = None, 1
-        if method == "imm":
-            full = imm_base
-        elif method in ("exkmc", "exkmc_imm"):
-            base = imm_base if method == "exkmc_imm" else ThresholdTree()
-            base_leaves = base.leaf_count
-            result = expand(X, reference.centers, base, largest, jobs=config.jobs)
-            full, trace = result.tree, result.trace
-        elif method == "kdtree":
-            full = build_kdtree(X, reference.centers, largest)
-        else:  # gini_tree
-            full = build_gini_tree(X, reference.assignment, largest, jobs=config.jobs)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if method in ("imm", "exkmc_imm"):
-            # the shared base build is part of these methods' construction
-            elapsed_ms += base_ms
-
-        for budget in config.budgets:
-            # greedy growth is prefix-closed: the tree at a smaller budget is
-            # the first splits of the largest build; imm has one k-leaf tree
-            tree = full if method == "imm" else full.prefix(budget)
-            report = _score(X, tree, reference)
+        elapsed_ms, trace, base_leaves, scored = by_method[method]
+        for budget, (tree, report) in zip(config.budgets, scored):
             rows.append(
                 {
                     "method": method,
@@ -236,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--leaves", default="k,2k,3k,4k", help="comma list of budgets; '3k' scales k")
     run.add_argument("--methods", default=",".join(METHODS), help="comma list of methods")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1, help="worker threads: k-means restarts and split scans")
+    run.add_argument(
+        "--jobs", type=int, default=1, help="worker threads: k-means restarts, method builds and split scans"
+    )
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--d", type=int, default=1024, help="synthetic dimensionality")
     run.add_argument("--n", type=int, default=500, help="blob dataset size")

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9  # costs this close, relative, count as tied
+_BLOCK_FLOATS = 1 << 15  # 256 KiB: one row block of a deviation or distance pass
 
 
 def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
@@ -173,11 +174,21 @@ def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
 def cell_stats(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(m, mean, ss) of an (m, d) cell: ss is each feature's sum of squared
     deviations from the mean, and `ss / m` is `np.var` bit for bit."""
-    m = points.shape[0]
+    m, d = points.shape
     mean = points.sum(axis=0) / max(m, 1)  # np.mean's sum and division; 0 when empty
-    dev = points - mean
-    dev *= dev
-    return m, mean, dev.sum(axis=0)
+    step = max(1, _BLOCK_FLOATS // d)
+    if m <= step or d == 1:
+        dev = points - mean  # one block: a lone column's sum is pairwise
+        dev *= dev
+        return m, mean, dev.sum(axis=0)
+    # row blocks, each with the running sum as its row 0: for d >= 2 an axis-0
+    # sum of C-ordered rows adds them one by one, so ss keeps its bits
+    block = np.zeros((step + 1, d))
+    for r0 in range(0, m, step):
+        dev = np.subtract(points[r0 : r0 + step], mean, out=block[1 : m - r0 + 1])
+        dev *= dev
+        block[0] = block[: dev.shape[0] + 1].sum(axis=0)
+    return m, mean, block[0].copy()
 
 
 def best_center(stats, M: CenterSet) -> tuple[int, float]:

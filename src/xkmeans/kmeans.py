@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, Assignment, CenterSet, DataMatrix
+from xkmeans.core import _BLOCK_FLOATS, _REL_TOL, Assignment, CenterSet, DataMatrix
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeanspp_seed", "lloyd", "fit_reference"]
 
@@ -44,14 +44,19 @@ class KMeansResult:
     n_iter: int
 
 
-def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
+def _sq_dists_to(points: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to `center`, via `buf` one row block at a time."""
+    out = np.empty(points.shape[0])
+    for r0 in range(0, points.shape[0], buf.shape[0]):
+        diff = np.subtract(points[r0 : r0 + buf.shape[0]], center, out=buf[: points.shape[0] - r0])
+        np.einsum("ij,ij->i", diff, diff, out=out[r0 : r0 + diff.shape[0]])
+    return out
 
 
 def _nearest(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # sq holds each point's |x|^2; ties resolved to the lowest center index by argmin
-    d2 = sq[:, None] - 2.0 * points @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
+    # sq holds each |x|^2; argmin ties go to the lowest center. Doubling the
+    # products, not the points, is exact bar subnormals or overflow, and copies no (n, d)
+    d2 = sq[:, None] - 2.0 * (points @ centers.T) + np.einsum("ij,ij->i", centers, centers)[None, :]
     return np.argmin(d2, axis=1)
 
 
@@ -64,6 +69,7 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
 
     chosen = np.empty(k, dtype=np.int64)
     d2 = np.empty(n)
+    buf = np.empty((min(n, max(1, _BLOCK_FLOATS // X.d)), X.d))
     for i in range(k):
         weights = np.ones(n) if i == 0 else d2
         cum = np.cumsum(weights)
@@ -79,8 +85,9 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
             # u rounded up onto the total mass; take the last weighted point
             idx = int(np.flatnonzero(weights > 0)[-1])
         chosen[i] = idx
-        nd2 = _sq_dists_to(pts, pts[idx])
-        d2 = nd2 if i == 0 else np.minimum(d2, nd2)
+        if i + 1 < k:  # the last center's distances weigh no further draw
+            nd2 = _sq_dists_to(pts, pts[idx], buf)
+            d2 = nd2 if i == 0 else np.minimum(d2, nd2)
     return CenterSet(pts[chosen], source="kmeans++")
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from importlib.resources import files
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import xkmeans
+from xkmeans import cli
 from xkmeans.cli import (
     METHODS,
     RESULT_COLUMNS,
@@ -305,14 +307,82 @@ def _rows_without_time(out_dir):
 
 
 def test_jobs_do_not_change_any_output(tmp_path):
-    # 130 features: the restarts, the exkmc scan and the gini scan all thread
+    # 130 features: the restarts, the exkmc scan and the gini scan all thread;
+    # the four build groups share 2 or 3 threads, or take 4 with 2 per scan at 8
     args = ["run", "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k"]
-    for jobs in ("1", "3"):
+    for jobs in ("1", "2", "3", "8"):
         assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
     serial = _run_files(tmp_path / "1")
     assert len(serial) == 5 * 2 * 2 + 2 * 2
-    assert _run_files(tmp_path / "3") == serial
+    for jobs in ("2", "3", "8"):
+        assert _run_files(tmp_path / jobs) == serial, jobs
+        assert _rows_without_time(tmp_path / jobs) == _rows_without_time(tmp_path / "1"), jobs
+
+
+@pytest.mark.parametrize("method", ["gini_tree", "exkmc_imm", "imm"])
+def test_one_build_group_gives_its_scan_every_thread(tmp_path, monkeypatch, method):
+    scan_jobs = []
+    for name in ("expand", "build_gini_tree"):
+        def spy(*args, _real=getattr(cli, name), **kwargs):
+            scan_jobs.append(kwargs["jobs"])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    args = ["run", "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k", "--methods", method]
+    for jobs in ("1", "3"):
+        assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert scan_jobs == ([] if method == "imm" else [1, 3])
+    assert _run_files(tmp_path / "3") == _run_files(tmp_path / "1")
     assert _rows_without_time(tmp_path / "3") == _rows_without_time(tmp_path / "1")
+
+
+@pytest.mark.parametrize("jobs, on_main, scan_jobs", [(1, True, 1), (2, False, 1), (8, False, 2)])
+def test_build_groups_run_on_workers_with_a_share_of_jobs(tmp_path, monkeypatch, jobs, on_main, scan_jobs):
+    seen = set()
+    for name in ("expand", "build_kdtree", "build_gini_tree"):
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            seen.add((_name, threading.current_thread() is threading.main_thread(), kwargs.get("jobs")))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    config = ExperimentConfig(k=3, data=str(IRIS), budgets=[3, 6], out=str(tmp_path / "out"), jobs=jobs)
+    run_experiment(config)  # four groups: imm with exkmc_imm, exkmc, kdtree, gini_tree
+    assert seen == {
+        ("expand", on_main, scan_jobs), ("build_kdtree", on_main, None), ("build_gini_tree", on_main, scan_jobs)
+    }
+
+
+def test_error_inside_a_build_group_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("kd build failed")
+
+    monkeypatch.setattr(cli, "build_kdtree", broken)
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(IRIS), "--k", "3", "--leaves", "k,2k", "--jobs", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: kd build failed\n"
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_empty_method_list_writes_the_reference_row_only(tmp_path, jobs):
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(IRIS), "--k", "3", "--methods", ",", "--jobs", jobs, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["results.csv"]
+    assert [row["method"] for row in read_results(out / "results.csv")] == ["reference"]
+
+
+def test_each_distinct_tree_is_scored_once(tmp_path, monkeypatch):
+    scored = []
+    real = cli._score
+    monkeypatch.setattr(cli, "_score", lambda X, tree, ref: scored.append(tree.leaf_count) or real(X, tree, ref))
+    # three distinct points: exkmc stops at 3 leaves, so budgets 5 and 6 share one tree
+    data = tmp_path / "dups.csv"
+    data.write_text("0,0\n0,0\n1,1\n1,1\n5,5\n")
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(data), "--k", "2", "--leaves", "2,5,6", "--methods", "imm,exkmc", "--out", str(out)])
+    assert code == 0
+    assert scored == [2, 2, 3]  # imm once, exkmc at 2 and 3 leaves
+    rows = [row[2:] for row in _rows_without_time(out)[2:]]
+    assert rows[0] == rows[1] == rows[2] and rows[4] == rows[5] != rows[3]
 
 
 @pytest.mark.parametrize("source", ["iris", "blobs"])

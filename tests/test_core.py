@@ -161,6 +161,19 @@ def test_cell_stats_variance_is_np_var_bit_for_bit(d):
     assert n == 0 and mean.shape == ss.shape == (d,) and not mean.any() and not ss.any()
 
 
+@pytest.mark.parametrize("d", [1, 2, 1000])
+def test_cell_stats_blocks_match_one_deviation_array_bit_for_bit(d):
+    # the one-pass formula: one (m, d) deviation array summed over axis 0;
+    # the row counts straddle one block of the blocked sum
+    block = max(1, core._BLOCK_FLOATS // d)
+    rng = np.random.default_rng(d)
+    for m in (0, 1, block - 1, block, block + 1, 3 * block + 2):
+        pts = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 6) + rng.choice([0.0, 1e6])
+        dev = pts - pts.sum(axis=0) / max(m, 1)
+        n, mean, ss = cell_stats(pts)
+        assert n == m and ss.tobytes() == (dev * dev).sum(axis=0).tobytes(), m
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_best_center_prices_by_parallel_axes(offset):
     # W + m |mean - mu|^2 against the direct sum of squared differences

@@ -56,6 +56,23 @@ class TestSeeding:
         b = kmeanspp_seed(X, 3, np.random.default_rng(42))
         assert np.array_equal(a.centers, b.centers)
 
+    def test_last_center_needs_no_distance_pass(self, monkeypatch):
+        passes = []
+        real = kmeans._sq_dists_to
+        monkeypatch.setattr(kmeans, "_sq_dists_to", lambda *args: passes.append(1) or real(*args))
+        kmeanspp_seed(FOUR_POINTS, 3, np.random.default_rng(0))
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("d", [1, 2, 1000])
+    def test_blocked_distances_match_one_difference_array_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(301, d)) * 1e3 + 1e6
+        diff = pts - pts[17]
+        whole = np.einsum("ij,ij->i", diff, diff)
+        for rows in (1, 7, 300, 301):
+            got = kmeans._sq_dists_to(pts, pts[17], np.empty((rows, d)))
+            assert got.tobytes() == whole.tobytes(), rows
+
     def test_codeword_dataset_one_seed_per_cluster(self):
         # the far-apart codeword clusters make the squared-distance sampling
         # pick one point from each cluster on almost every seed
