@@ -14,14 +14,13 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from xkmeans.baselines import build_gini_tree, build_kdtree
-from xkmeans.core import CostReport, DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost
+from xkmeans.core import CostReport, DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost, thread_map
 from xkmeans.exkmc import expand
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
@@ -54,7 +53,6 @@ class ExperimentConfig:
     separation: float = 5.0
     budgets: list[int] = field(default_factory=list)
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    kmeans: KMeansConfig | None = None
     out: str = "results"
     seed: int = 0
     jobs: int = 1
@@ -76,8 +74,6 @@ class ExperimentConfig:
         if "exkmc_imm" in self.methods and self.budgets[0] < self.k:
             # the IMM base tree always has exactly k leaves
             raise ValueError(f"budget {self.budgets[0]} is below the base tree's {self.k} leaves")
-        if self.kmeans is None:
-            self.kmeans = KMeansConfig(k=self.k, seed=self.seed)
 
 
 def parse_budgets(text: str, k: int) -> list[int]:
@@ -170,29 +166,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one configuration; returns the output paths and result rows.
 
     After the reference fit the methods build as independent groups (imm and
-    exkmc_imm share the IMM base) on min(jobs, groups) threads, each split scan
-    on max(1, jobs // groups); one group, or one job, runs them in turn with
-    every scan on `jobs`. Rows and files keep method order and their bytes."""
+    exkmc_imm share the IMM base) through `thread_map` on `jobs`, each split
+    scan on max(1, jobs // groups) threads. Rows and files keep method order
+    and their bytes."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     X = _load_dataset(config)
     if config.k > X.n:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
 
-    reference = fit_reference(X, config.kmeans, jobs=config.jobs)
+    reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
     reference_row = ("reference", config.k, reference.cost, reference.cost, 1.0, 1.0, config.k, 0.0)
     rows: list[dict] = [dict(zip(RESULT_COLUMNS, reference_row))]
     paths: dict[str, Path] = {}
 
     imm_group = [m for m in config.methods if m in _IMM_FAMILY]
     groups = [imm_group] * bool(imm_group) + [[m] for m in config.methods if m not in imm_group]
-    workers = min(config.jobs, len(groups))
-    if workers <= 1:
-        built = [_build_group(X, reference, g, config.budgets, config.jobs) for g in groups]
-    else:
-        scan_jobs = max(1, config.jobs // len(groups))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups))
+    scan_jobs = max(1, config.jobs // max(1, len(groups)))
+    built = thread_map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
 
     for method in config.methods:

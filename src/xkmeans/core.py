@@ -5,15 +5,17 @@ runner) is measured through `kmeans_cost` and `surrogate_cost`. The cost of
 a cell against a fixed center uses squared Euclidean distance throughout;
 no other metric is supported. `best_center` prices a cell from its
 `cell_stats` against its cheapest fixed center, wherever a cell is priced.
+`thread_map` runs every task that `jobs` spreads over threads.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "best_center",
     "accuracy",
     "load_csv",
+    "thread_map",
 ]
 
 _REL_TOL = 1e-9  # costs this close, relative, count as tied
@@ -160,15 +163,22 @@ def kmeans_cost(X: DataMatrix, a: Assignment) -> float:
     """
     if a.n != X.n:
         raise ValueError(f"assignment covers {a.n} points, dataset has {X.n}")
-    pts = X.points
-    total = 0.0
-    for ids in a.clusters():
-        if ids.size == 0:
-            continue
-        cluster = pts[ids]
-        mu = cluster.mean(axis=0)
-        total += float(((cluster - mu) ** 2).sum())
-    return total
+    return _cluster_pass(X.points, a.labels, int(a.labels.max()) + 1)[2]
+
+
+def _cluster_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Counts, means and k-means cost of an assignment from one gather of each
+    nonempty cluster, its rows in ascending id order."""
+    counts = np.bincount(assign, minlength=k)
+    means = np.zeros((k, pts.shape[1]))
+    cost = 0.0
+    for j in np.flatnonzero(counts):
+        cluster = pts[assign == j]
+        means[j] = cluster.mean(axis=0)
+        cluster -= means[j]
+        cluster *= cluster
+        cost += float(cluster.sum())
+    return counts, means, cost
 
 
 def cell_stats(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -226,6 +236,18 @@ def accuracy(reference: Assignment, induced: Assignment) -> float:
     if reference.n == 0:
         return 1.0
     return float(np.mean(reference.labels == induced.labels))
+
+
+def thread_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """`fn` over `items`, in item order, on min(jobs, len(items)) threads;
+    when that is one, on the calling thread."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _looks_numeric(token: str) -> bool:

@@ -27,14 +27,13 @@ That search, `prefix_scan`, is also the gini baseline's, on label counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats
+from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats, thread_map
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -100,8 +99,6 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     feature, threshold, points left of the cut, the r prefix sums there),
     or None.
     """
-    starts = range(0, points.shape[1], _BLOCK)
-
     def scan_block(c0):
         blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
         order = np.argsort(blk, axis=1, kind="stable")
@@ -116,12 +113,7 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
         sums = np.stack([cum[width, t_star] for cum in cums], axis=1)
         return tot[width, t_star], c0 + width, sv[width, t_star], t_star + 1, sums
 
-    workers = min(jobs, len(starts))
-    if workers <= 1:
-        blocks = [scan_block(c0) for c0 in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(scan_block, starts))
+    blocks = thread_map(scan_block, range(0, points.shape[1], _BLOCK), jobs)
     found = [b for b in blocks if b is not None]
     if not found:
         return None

@@ -8,12 +8,11 @@ Each restart has its own seed stream, so restarts may run on threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from xkmeans.core import _BLOCK_FLOATS, _REL_TOL, Assignment, CenterSet, DataMatrix
+from xkmeans.core import _BLOCK_FLOATS, _REL_TOL, Assignment, CenterSet, DataMatrix, _cluster_pass, thread_map
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeanspp_seed", "lloyd", "fit_reference"]
 
@@ -91,21 +90,6 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
     return CenterSet(pts[chosen], source="kmeans++")
 
 
-def _cluster_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Counts, means and k-means cost of an assignment from one gather of each
-    nonempty cluster. The cost is `kmeans_cost`'s arithmetic, bit for bit."""
-    counts = np.bincount(assign, minlength=k)
-    means = np.zeros((k, pts.shape[1]))
-    cost = 0.0
-    for j in np.flatnonzero(counts):
-        cluster = pts[assign == j]
-        means[j] = cluster.mean(axis=0)
-        cluster -= means[j]
-        cluster *= cluster
-        cost += float(cluster.sum())
-    return counts, means, cost
-
-
 def _update_means(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Next centers: `means`, with each empty cluster's row set (in place) to
     the point farthest from its own cluster's mean."""
@@ -166,23 +150,15 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
 def fit_reference(X: DataMatrix, config: KMeansConfig, jobs: int = 1) -> KMeansResult:
     """Best of n_init seeded runs by final cost: the lowest restart index
     within 1e-9 relative of the cheapest, as `best_center` picks centers.
-    The restarts run on min(jobs, n_init) threads; any `jobs` keeps the same one."""
+    The restarts run through `thread_map`; any `jobs` keeps the same one."""
     if config.k > X.n:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
 
     def restart(stream):
         seeds = kmeanspp_seed(X, config.k, np.random.default_rng(stream))
         return lloyd(X, seeds, max_iter=config.max_iter, tol=config.tol)
 
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
-    workers = min(jobs, config.n_init)
-    if workers == 1:
-        runs = [restart(stream) for stream in streams]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(restart, streams))  # in restart order
+    runs = thread_map(restart, np.random.SeedSequence(config.seed).spawn(config.n_init), jobs)
     costs = np.array([run.cost for run in runs])
     best = runs[int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))]
     tagged = CenterSet(best.centers.centers, seed=config.seed, source="kmeans++")

@@ -1,4 +1,5 @@
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from xkmeans.core import (
     kmeans_cost,
     load_csv,
     surrogate_cost,
+    thread_map,
 )
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
@@ -435,3 +437,28 @@ def test_leading_bom_is_not_a_header(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,\n5,6\n")  # read row by row
     with pytest.warns(UserWarning, match="dropping non-numeric columns: 1"):
         assert load_csv(path).points.tolist() == [[1.5], [3.0], [5.0]]
+
+
+def test_thread_map_keeps_item_order_and_uses_the_caller_for_one_worker():
+    caller = threading.current_thread()
+
+    def where(item):
+        return item, threading.current_thread()
+
+    for jobs, items in [(1, range(5)), (4, range(1)), (3, range(0))]:
+        got = thread_map(where, items, jobs)
+        assert [item for item, _ in got] == list(items)
+        assert all(thread is caller for _, thread in got)
+    got = thread_map(where, range(20), 3)
+    assert [item for item, _ in got] == list(range(20))
+    threads = {thread for _, thread in got}
+    assert caller not in threads and len(threads) <= 3
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            thread_map(where, [], jobs)
+
+
+def test_only_core_makes_a_thread_pool():
+    # every task that --jobs spreads over threads goes through core.thread_map
+    sources = Path(core.__file__).parent.glob("*.py")
+    assert sorted(p.name for p in sources if "ThreadPoolExecutor" in p.read_text()) == ["core.py"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xkmeans import exkmc
+from xkmeans.baselines import build_gini_tree
 from xkmeans.core import (
     Assignment,
     CenterSet,
@@ -628,3 +629,19 @@ def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
         assert agg.count.tolist() == np.bincount(labels, minlength=k).tolist()
         assert agg.cost() == pytest.approx(kmeans_cost(X, Assignment(labels)), rel=1e-8)
     assert emptied > 0
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda jobs: expand(FOUR_POINTS, TWO_CENTERS, ThresholdTree(), 2, jobs=jobs),
+        lambda jobs: scan_best_split(FOUR_POINTS.points, TWO_CENTERS, jobs=jobs),
+        lambda jobs: build_gini_tree(FOUR_POINTS, Assignment([0, 0, 1, 1]), 2, jobs=jobs),
+        lambda jobs: prefix_scan(FOUR_POINTS.points, np.ones((1, 4)), lambda cums: cums[0], 0.0, jobs),
+    ],
+    ids=["expand", "scan_best_split", "build_gini_tree", "prefix_scan"],
+)
+def test_jobs_below_one_rejected_by_every_scan(scan, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        scan(jobs)
