@@ -17,7 +17,6 @@ from xkmeans.baselines import build_gini_tree, build_kdtree
 from xkmeans.core import (
     Assignment,
     CenterSet,
-    CostReport,
     DataMatrix,
     accuracy,
     kmeans_cost,
@@ -27,12 +26,7 @@ from xkmeans.core import (
 from xkmeans.exkmc import ExpandResult, SplitCandidate, expand, scan_best_split
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, KMeansResult, fit_reference, kmeanspp_seed, lloyd
-from xkmeans.synth import (
-    SyntheticIISpec,
-    gen_gaussian_blobs,
-    gen_synthetic_i,
-    gen_synthetic_ii,
-)
+from xkmeans.synth import gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
 from xkmeans.tree import ThresholdTree
 
 __version__ = "0.1.0"

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from xkmeans.baselines import build_gini_tree, build_kdtree
-from xkmeans.core import CostReport, DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost, thread_map
+from xkmeans.core import DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost, thread_map
 from xkmeans.exkmc import expand
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
-from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
+from xkmeans.synth import gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
 from xkmeans.tree import ThresholdTree
 
 METHODS = ("exkmc", "exkmc_imm", "imm", "kdtree", "gini_tree")
@@ -71,6 +71,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {', '.join(unknown)}; choose from {', '.join(METHODS)}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("each method may be listed only once")
         if "exkmc_imm" in self.methods and self.budgets[0] < self.k:
             # the IMM base tree always has exactly k leaves
             raise ValueError(f"budget {self.budgets[0]} is below the base tree's {self.k} leaves")
@@ -100,9 +102,7 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
     if name == "synthetic1":
         return gen_synthetic_i(seed=config.seed)
     if name == "synthetic2":
-        spec = SyntheticIISpec(k=config.k, d=config.synth_d, seed=config.seed)
-        X, _, _ = gen_synthetic_ii(spec)
-        return X
+        return gen_synthetic_ii(config.k, config.synth_d, seed=config.seed)[0]
     if name == "blobs":
         X, _ = gen_gaussian_blobs(
             config.k, config.synth_n, config.synth_d, config.separation, seed=config.seed
@@ -111,23 +111,31 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
     raise ValueError(f"unknown synthetic dataset {name!r}; choose synthetic1, synthetic2, or blobs")
 
 
-def _score(X, tree, reference) -> CostReport:
-    """Costs of a tree's clustering, over the cells that routing X gives."""
+def _score(X, tree, reference) -> tuple:
+    """A tree's results.csv values from kmeans_cost to leaves, over the cells
+    that routing X gives; the ratio is nan when the reference costs 0."""
     cells = tree.cells(X)
     assignment = tree.induced_assignment(X, cells)
-    return CostReport.build(
-        kmeans_cost=kmeans_cost(X, assignment),
-        surrogate_cost=surrogate_cost(X, list(cells.values()), reference.centers),
-        leaf_count=tree.leaf_count,
-        reference_cost=reference.cost,
-        accuracy=accuracy(reference.assignment, assignment),
+    cost = kmeans_cost(X, assignment)
+    return (
+        cost,
+        surrogate_cost(X, list(cells.values()), reference.centers),
+        cost / reference.cost if reference.cost > 0 else float("nan"),
+        accuracy(reference.assignment, assignment),
+        tree.leaf_count,
     )
+
+
+def _csv_row(method, k_prime, scores, wall_time_ms) -> list:
+    """One results.csv row; every column but method, k_prime and leaves is a float's repr."""
+    *floats, leaves = scores
+    return [method, k_prime, *(repr(float(v)) for v in floats), leaves, repr(float(wall_time_ms))]
 
 
 def _build_group(X, reference, methods, budgets, jobs) -> dict:
     """Build a group's methods at the largest budget, `jobs` threads per split
     scan, and score each budget; a tree that repeats the previous budget's keeps
-    its report. Returns method -> (ms, trace, base leaves, [(tree, report)])."""
+    its scores. Returns method -> (ms, trace, base leaves, [(tree, scores)])."""
     started, imm_base = time.perf_counter(), None
     if any(m in _IMM_FAMILY for m in methods):
         imm_base = build_imm(X, reference.centers, reference.assignment)
@@ -162,8 +170,8 @@ def _build_group(X, reference, methods, budgets, jobs) -> dict:
     return built
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute one configuration; returns the output paths and result rows.
+def run_experiment(config: ExperimentConfig) -> Path:
+    """Execute one configuration; returns the results.csv path.
 
     After the reference fit the methods build as independent groups (imm and
     exkmc_imm share the IMM base) through `thread_map` on `jobs`, each split
@@ -176,9 +184,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
 
     reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
-    reference_row = ("reference", config.k, reference.cost, reference.cost, 1.0, 1.0, config.k, 0.0)
-    rows: list[dict] = [dict(zip(RESULT_COLUMNS, reference_row))]
-    paths: dict[str, Path] = {}
 
     imm_group = [m for m in config.methods if m in _IMM_FAMILY]
     groups = [imm_group] * bool(imm_group) + [[m] for m in config.methods if m not in imm_group]
@@ -186,43 +191,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
     built = thread_map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
 
-    for method in config.methods:
-        elapsed_ms, trace, base_leaves, scored = by_method[method]
-        for budget, (tree, report) in zip(config.budgets, scored):
-            rows.append(
-                {
-                    "method": method,
-                    "k_prime": budget,
-                    "kmeans_cost": report.kmeans_cost,
-                    "surrogate_cost": report.surrogate_cost,
-                    "cost_ratio": report.cost_ratio,
-                    "accuracy": report.accuracy,
-                    "leaves": report.leaf_count,
-                    "wall_time_ms": elapsed_ms,
-                }
-            )
-
-            stem = f"{method}_k{budget}"
-            (out_dir / f"tree_{stem}.json").write_text(tree.to_json() + "\n")
-            (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
-            paths[f"tree_{stem}"] = out_dir / f"tree_{stem}.json"
-            if trace is not None:
-                trace_path = out_dir / f"trace_{stem}.jsonl"
-                with trace_path.open("w") as fh:
-                    fh.writelines(json.dumps(s.to_dict()) + "\n" for s in trace[: budget - base_leaves])
-                paths[f"trace_{stem}"] = trace_path
-
     results_path = out_dir / "results.csv"
     with results_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row[c] if c in ("method", "k_prime", "leaves") else repr(float(row[c]))
-                 for c in RESULT_COLUMNS]
-            )
-    paths["results"] = results_path
-    return {"paths": paths, "rows": rows, "reference_cost": reference.cost}
+        writer.writerow(_csv_row("reference", config.k, (reference.cost, reference.cost, 1.0, 1.0, config.k), 0.0))
+        for method in config.methods:
+            elapsed_ms, trace, base_leaves, scored = by_method[method]
+            for budget, (tree, scores) in zip(config.budgets, scored):
+                writer.writerow(_csv_row(method, budget, scores, elapsed_ms))
+                stem = f"{method}_k{budget}"
+                (out_dir / f"tree_{stem}.json").write_text(tree.to_json() + "\n")
+                (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
+                if trace is not None:
+                    steps = trace[: budget - base_leaves]
+                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(json.dumps(s.to_dict()) + "\n" for s in steps))
+    return results_path
 
 
 def explain_point(tree_path, point) -> tuple[list[tuple[int, float, str]], int | None]:
@@ -277,8 +261,7 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 jobs=args.jobs,
             )
-            outcome = run_experiment(config)
-            print(f"wrote {outcome['paths']['results']}")
+            print(f"wrote {run_experiment(config)}")
             return 0
         path, label = explain_point(args.tree, [float(v) for v in args.point.split(",")])
         for feature, threshold, direction in path:

@@ -23,7 +23,6 @@ __all__ = [
     "DataMatrix",
     "CenterSet",
     "Assignment",
-    "CostReport",
     "kmeans_cost",
     "surrogate_cost",
     "cell_stats",
@@ -70,11 +69,9 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CenterSet:
-    """k fixed centers plus provenance (seed and producing algorithm)."""
+    """k fixed centers."""
 
     centers: np.ndarray
-    seed: int | None = None
-    source: str = "external"
 
     def __post_init__(self):
         ctr = _frozen_array(self.centers, ndim=2)
@@ -82,8 +79,6 @@ class CenterSet:
             raise ValueError("need at least one center")
         if not np.all(np.isfinite(ctr)):
             raise ValueError("centers contain NaN or Inf entries")
-        if self.source not in ("kmeans++", "external"):
-            raise ValueError(f"unknown center source {self.source!r}")
         object.__setattr__(self, "centers", ctr)
 
     @property
@@ -118,41 +113,6 @@ class Assignment:
     @property
     def n(self) -> int:
         return self.labels.shape[0]
-
-    def clusters(self, k: int | None = None) -> list[np.ndarray]:
-        """Point ids per cluster; together they partition range(n)."""
-        count = int(self.labels.max()) + 1 if self.labels.size else 0
-        if k is not None:
-            if self.labels.size and count > k:
-                raise ValueError(f"label {count - 1} out of range for k={k}")
-            count = k
-        order = np.argsort(self.labels, kind="stable")
-        bounds = np.searchsorted(self.labels[order], np.arange(count + 1))
-        return [order[bounds[j]:bounds[j + 1]] for j in range(count)]
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """One row of a benchmark: a tree clustering scored against a reference."""
-
-    kmeans_cost: float
-    surrogate_cost: float
-    leaf_count: int
-    reference_cost: float
-    cost_ratio: float
-    accuracy: float
-
-    @classmethod
-    def build(cls, kmeans_cost, surrogate_cost, leaf_count, reference_cost, accuracy):
-        ratio = kmeans_cost / reference_cost if reference_cost > 0 else float("nan")
-        return cls(
-            kmeans_cost=float(kmeans_cost),
-            surrogate_cost=float(surrogate_cost),
-            leaf_count=int(leaf_count),
-            reference_cost=float(reference_cost),
-            cost_ratio=float(ratio),
-            accuracy=float(accuracy),
-        )
 
 
 def kmeans_cost(X: DataMatrix, a: Assignment) -> float:

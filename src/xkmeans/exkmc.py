@@ -122,7 +122,7 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     return float(best[i]), int(feature[i]), float(theta[i]), int(n_left[i]), sums[i]
 
 
-def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | None:
+def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> SplitCandidate | None:
     """Best candidate over all (feature, point-value threshold) pairs.
 
     Thresholds sit at distinct point values, excluding each feature's max so
@@ -133,21 +133,19 @@ def scan_best_split(points, M: CenterSet, *, jobs: int = 1) -> SplitCandidate | 
     parent's center does), so an exact-equality tie-break would be at the
     mercy of summation order. Each side's label is its lowest center within
     that tolerance of its cheapest, and a smaller gain, of either sign, is
-    0.0. Any `jobs` gives the same result.
+    0.0. Any `jobs` gives the same result. `stats` is the cell's
+    `cell_stats`, computed here when not given.
     """
     points = np.asarray(points, dtype=np.float64)
-    m = points.shape[0]
+    m, mean, ss = cell_stats(points) if stats is None else stats
     if m < 2:
         return None
     # centered, the identity's terms are the size of the cell's spread
-    mean = points.mean(axis=0)
-    centered = points - mean
     centers = M.centers - mean
-    P = centered @ centers.T
+    P = (points - mean) @ centers.T
     m2 = np.einsum("ij,ij->i", centers, centers)
     s_tot = P.sum(axis=0)
-    sumsq = float(np.einsum("ij,ij->", centered, centered))
-    del centered  # an (m, d) copy, not to be held through the block scan
+    sumsq = float(ss.sum())
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
     counts = np.arange(1, m, dtype=np.float64)
@@ -243,7 +241,7 @@ def expand(
         label, leaf_cost[leaf] = best_center(stats, M)
         if tree.node(leaf).label is None:  # a new child, or the root of an empty tree
             tree.set_leaf_label(leaf, label)
-        cand = scan_best_split(points, M, jobs=jobs) if splittable else None
+        cand = scan_best_split(points, M, stats, jobs=jobs) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)

@@ -87,7 +87,7 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
         if i + 1 < k:  # the last center's distances weigh no further draw
             nd2 = _sq_dists_to(pts, pts[idx], buf)
             d2 = nd2 if i == 0 else np.minimum(d2, nd2)
-    return CenterSet(pts[chosen], source="kmeans++")
+    return CenterSet(pts[chosen])
 
 
 def _update_means(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -137,9 +137,8 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
         if stable or movement < tol:
             break
 
-    result_centers = CenterSet(centers, seed=init.seed, source=init.source)
     return KMeansResult(
-        centers=result_centers,
+        centers=CenterSet(centers),
         assignment=Assignment(assign),
         cost=history[-1],
         cost_history=tuple(history),
@@ -160,6 +159,4 @@ def fit_reference(X: DataMatrix, config: KMeansConfig, jobs: int = 1) -> KMeansR
 
     runs = thread_map(restart, np.random.SeedSequence(config.seed).spawn(config.n_init), jobs)
     costs = np.array([run.cost for run in runs])
-    best = runs[int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))]
-    tagged = CenterSet(best.centers.centers, seed=config.seed, source="kmeans++")
-    return KMeansResult(tagged, best.assignment, best.cost, best.cost_history, best.n_iter)
+    return runs[int(np.argmax(costs <= costs.min() * (1.0 + _REL_TOL)))]

@@ -8,14 +8,11 @@ dataset hides two extreme points inside two large near-binary clouds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix
 
 __all__ = [
-    "SyntheticIISpec",
     "gen_synthetic_ii",
     "points_from_codewords",
     "gen_synthetic_i",
@@ -23,23 +20,6 @@ __all__ = [
 ]
 
 _CODEWORD_RETRIES = 100
-
-
-@dataclass
-class SyntheticIISpec:
-    """Parameters for the codeword dataset; requires d > c * k**2."""
-
-    k: int
-    d: int
-    seed: int | None = None
-    c: float = 1.0
-    min_pairwise: float | None = None  # filled by the generator
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.d <= self.c * self.k**2:
-            raise ValueError(f"need d > {self.c} * k^2 = {self.c * self.k ** 2}, got d={self.d}")
 
 
 def points_from_codewords(codewords: np.ndarray) -> tuple[DataMatrix, CenterSet, Assignment]:
@@ -53,7 +33,7 @@ def points_from_codewords(codewords: np.ndarray) -> tuple[DataMatrix, CenterSet,
         blocks.append(block)
     X = DataMatrix(np.vstack(blocks))
     labels = Assignment(np.repeat(np.arange(k), d))
-    return X, CenterSet(codewords, source="external"), labels
+    return X, CenterSet(codewords), labels
 
 
 def _min_pairwise_sq(codewords: np.ndarray) -> float:
@@ -67,20 +47,22 @@ def _min_pairwise_sq(codewords: np.ndarray) -> float:
     return best
 
 
-def gen_synthetic_ii(spec: SyntheticIISpec) -> tuple[DataMatrix, CenterSet, Assignment]:
-    """Sample codewords (rejecting sets closer than d/4 in squared distance)
-    and expand them into the full dataset of k*d points in {-1, 0, 1}^d."""
-    rng = np.random.default_rng(spec.seed)
-    floor = spec.d / 4.0
+def gen_synthetic_ii(k: int, d: int, seed: int | None = None) -> tuple[DataMatrix, CenterSet, Assignment]:
+    """Sample k codewords in {-1, 1}^d (d > k^2), rejecting sets closer than
+    d/4 in squared distance, and expand them into the full dataset of k*d
+    points in {-1, 0, 1}^d."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if d <= k**2:
+        raise ValueError(f"need d > k^2 = {k ** 2}, got d={d}")
+    rng = np.random.default_rng(seed)
+    floor = d / 4.0
     achieved = -np.inf
     for _ in range(_CODEWORD_RETRIES):
-        codewords = rng.choice([-1.0, 1.0], size=(spec.k, spec.d))
+        codewords = rng.choice([-1.0, 1.0], size=(k, d))
         achieved = _min_pairwise_sq(codewords)
         if achieved >= floor:
-            spec.min_pairwise = achieved
-            X, centers, labels = points_from_codewords(codewords)
-            centers = CenterSet(codewords, seed=spec.seed, source="external")
-            return X, centers, labels
+            return points_from_codewords(codewords)
     raise RuntimeError(
         f"could not sample codewords with min pairwise squared distance >= {floor}"
         f" (best achieved {achieved})"

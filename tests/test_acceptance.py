@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from xkmeans.baselines import build_gini_tree
-from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost, load_csv
+from xkmeans.core import Assignment, CenterSet, DataMatrix, cell_stats, kmeans_cost, load_csv
 from xkmeans.exkmc import expand, scan_best_split
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference, kmeanspp_seed, lloyd
-from xkmeans.synth import SyntheticIISpec, gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
+from xkmeans.synth import gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii
 
 REL = 1e-9
 
@@ -61,7 +61,7 @@ def test_criterion_1_fast_scan_matches_naive_enumeration():
         k = int(rng.integers(1, 4))
         pts = rng.normal(size=(n, d))
         M = CenterSet(rng.normal(size=(k, d)))
-        got = scan_best_split(pts, M)
+        got = scan_best_split(pts, M, cell_stats(pts))
 
         rows = []
         for f in range(d):
@@ -169,7 +169,7 @@ def _clusters_match(labels, truth, k):
 def test_criterion_6_codeword_dataset_convergence():
     started = time.perf_counter()
     k, d = 8, 1024
-    X, codewords, truth = gen_synthetic_ii(SyntheticIISpec(k=k, d=d, seed=0))
+    X, codewords, truth = gen_synthetic_ii(k, d, seed=0)
     shrunk = codewords.centers * (d - 1) / d
     budget = 10 * k * int(np.ceil(np.log2(k)))
     target = (1 + 1e-6) * d * k

@@ -60,8 +60,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             k=3, data=str(data), budgets=[3], methods=["exkmc_imm"], out=str(tmp_path / "out"), seed=1
         )
-        outcome = run_experiment(config)
-        rows = read_results(outcome["paths"]["results"])
+        rows = read_results(run_experiment(config))
         assert [r["method"] for r in rows] == ["reference", "exkmc_imm"]
         tree = ThresholdTree.from_json(
             (tmp_path / "out" / "tree_exkmc_imm_k3.json").read_text()
@@ -74,7 +73,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             k=2, data=str(data), budgets=[2], methods=["kdtree"], out=str(tmp_path / "out"), seed=3
         )
-        rows = read_results(run_experiment(config)["paths"]["results"])
+        rows = read_results(run_experiment(config))
         ref = rows[0]
         assert ref["method"] == "reference"
         assert float(ref["cost_ratio"]) == 1.0
@@ -86,7 +85,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             k=2, data=str(data), budgets=[2], methods=["imm"], out=str(tmp_path / "out"), seed=0
         )
-        path = run_experiment(config)["paths"]["results"]
+        path = run_experiment(config)
         header = Path(path).read_text().splitlines()[0]
         assert header == "method,k_prime,kmeans_cost,surrogate_cost,cost_ratio,accuracy,leaves,wall_time_ms"
 
@@ -96,7 +95,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             k=2, data=str(data), budgets=[20], methods=["exkmc_imm"], out=str(tmp_path / "out"), seed=5
         )
-        rows = read_results(run_experiment(config)["paths"]["results"])
+        rows = read_results(run_experiment(config))
         row = rows[1]
         assert float(row["accuracy"]) == 1.0
         assert float(row["cost_ratio"]) == pytest.approx(1.0, rel=1e-9)
@@ -134,7 +133,7 @@ class TestRunExperiment:
             rows = Path(path).read_text().splitlines()
             return [",".join(line.split(",")[:-1]) for line in rows]
 
-        assert strip_times(a["paths"]["results"]) == strip_times(b["paths"]["results"])
+        assert strip_times(a) == strip_times(b)
 
     def test_unknown_method_rejected(self, tmp_path):
         data = tmp_path / "blobs.csv"
@@ -147,7 +146,7 @@ class TestRunExperiment:
             k=3, synth="blobs", synth_n=30, synth_d=2, budgets=[3],
             methods=["kdtree"], out=str(tmp_path / "out"), seed=2,
         )
-        rows = read_results(run_experiment(config)["paths"]["results"])
+        rows = read_results(run_experiment(config))
         assert len(rows) == 2
 
 
@@ -174,6 +173,26 @@ class TestCliEntry:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["run", "--data", str(tmp_path / "absent.csv"), "--k", "2", "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_repeated_method_exits_1_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--data", str(IRIS), "--k", "3", "--methods", "kdtree,imm,kdtree", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_cost_reference_gives_nan_ratios(self, tmp_path):
+        # three distinct points at k = 3: the reference costs 0, so no
+        # method's cost can be put as a ratio of it
+        data = tmp_path / "three.csv"
+        data.write_text("0,0\n1,0\n0,5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--k", "3", "--out", str(out)]) == 0
+        reference, *rows = read_results(out / "results.csv")
+        assert (reference["kmeans_cost"], reference["cost_ratio"]) == ("0.0", "1.0")
+        assert len(rows) == len(METHODS) * 4
+        assert all(row["cost_ratio"] == "nan" for row in rows)
 
 
 class TestExplain:
@@ -421,7 +440,7 @@ def test_prefix_rows_agree_with_trace_costs(tmp_path):
         k=3, data=str(IRIS), budgets=[4, 7, 12], methods=["exkmc", "exkmc_imm"],
         out=str(tmp_path / "out"), seed=0,
     )
-    for row in read_results(run_experiment(config)["paths"]["results"])[1:]:
+    for row in read_results(run_experiment(config))[1:]:
         lines = (tmp_path / "out" / f"trace_{row['method']}_k{row['k_prime']}.jsonl").read_text().splitlines()
         last = json.loads(lines[-1])
         assert float(row["surrogate_cost"]) == pytest.approx(last["surrogate_cost"], rel=1e-9)

@@ -135,16 +135,24 @@ class TestSplitCost:
 
 class TestScanBestSplit:
     def test_four_point_candidate(self):
-        cand = scan_best_split(FOUR_POINTS.points, TWO_CENTERS)
+        cand = scan_best_split(FOUR_POINTS.points, TWO_CENTERS, cell_stats(FOUR_POINTS.points))
         assert (cand.feature, cand.threshold) == (0, 0.0)
         assert (cand.left_label, cand.right_label) == (0, 1)
         assert cand.post_split_cost == pytest.approx(1.0, rel=1e-12)
         assert cand.gain == pytest.approx(32.0, rel=1e-12)
 
+    def test_stats_are_computed_when_not_given(self):
+        # the two-argument call prices the cell itself, as a caller without
+        # its `cell_stats` at hand (such as a scaling probe) makes it
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(40, 3)) + 1e3
+        M = CenterSet(rng.normal(size=(3, 3)) + 1e3)
+        assert scan_best_split(pts, M) == scan_best_split(pts, M, cell_stats(pts))
+
     def test_identical_points_no_split(self):
         pts = np.ones((5, 3))
         M = CenterSet([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        assert scan_best_split(pts, M) is None
+        assert scan_best_split(pts, M, cell_stats(pts)) is None
 
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(17)
@@ -154,7 +162,7 @@ class TestScanBestSplit:
             k = int(rng.integers(1, 4))
             pts = rng.normal(size=(n, d))
             M = CenterSet(rng.normal(size=(k, d)))
-            got = scan_best_split(pts, M)
+            got = scan_best_split(pts, M, cell_stats(pts))
             want = naive_best_split(pts, M.centers)
             if want is None:
                 assert got is None
@@ -207,9 +215,9 @@ class TestExpand:
         base = build_imm(X, ref.centers, ref.assignment)
         scanned = []
 
-        def counting_scan(points, M, **kwargs):
+        def counting_scan(points, M, stats, **kwargs):
             scanned.append(points.shape[0])
-            return scan_best_split(points, M, **kwargs)
+            return scan_best_split(points, M, stats, **kwargs)
 
         monkeypatch.setattr(exkmc, "scan_best_split", counting_scan)
         assert expand(X, ref.centers, base, base.leaf_count).trace == ()
@@ -336,7 +344,8 @@ def test_exactly_tied_centers_go_to_the_lowest_index(seed):
     M = CenterSet([c * [-1.0, 1.0], c, [0.0, 50.0]])
     assert best_center(cell_stats(cell), M)[0] == 0
     # split from a far group nearest the third center, the cell is a side
-    split = scan_best_split(np.vstack([cell, cell + [0.0, 50.0]]), M)
+    both = np.vstack([cell, cell + [0.0, 50.0]])
+    split = scan_best_split(both, M, cell_stats(both))
     assert (split.feature, split.left_label, split.right_label) == (1, 0, 2)
 
 
@@ -368,7 +377,7 @@ def test_scan_matches_naive_under_a_shared_offset(n, d, k, offset, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, d)) + offset
     M = CenterSet(rng.normal(size=(k, d)) + offset)
-    got = scan_best_split(pts, M)
+    got = scan_best_split(pts, M, cell_stats(pts))
     want = naive_best_split(pts, M.centers)
     if want is None:
         assert got is None
@@ -424,7 +433,7 @@ def test_scan_matches_naive_on_tie_heavy_integer_data(n, d, k, seed):
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
-    got = scan_best_split(pts, M)
+    got = scan_best_split(pts, M, cell_stats(pts))
     want = naive_best_split(pts, M.centers)
     if want is None:
         assert got is None
@@ -564,7 +573,7 @@ def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
     for jobs in (1, 2):
-        assert_same_split(scan_best_split(pts, M, jobs=jobs), klast_best_split(pts, M, jobs=jobs))
+        assert_same_split(scan_best_split(pts, M, cell_stats(pts), jobs=jobs), klast_best_split(pts, M, jobs=jobs))
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -576,7 +585,7 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
     # with and without the two anchors, one cluster, and a 30-point cell
     for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
         for jobs in (1, 2):
-            assert_same_split(scan_best_split(cell, M, jobs=jobs), klast_best_split(cell, M, jobs=jobs))
+            assert_same_split(scan_best_split(cell, M, cell_stats(cell), jobs=jobs), klast_best_split(cell, M, jobs=jobs))
 
 
 def scan_result(found):
@@ -596,7 +605,7 @@ def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
     for jobs in (2, 3):
         got = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5, jobs)
         assert scan_result(got) == want
-        assert scan_best_split(pts, M, jobs=jobs) == scan_best_split(pts, M)
+        assert scan_best_split(pts, M, cell_stats(pts), jobs=jobs) == scan_best_split(pts, M, cell_stats(pts))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -636,7 +645,7 @@ def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
     "scan",
     [
         lambda jobs: expand(FOUR_POINTS, TWO_CENTERS, ThresholdTree(), 2, jobs=jobs),
-        lambda jobs: scan_best_split(FOUR_POINTS.points, TWO_CENTERS, jobs=jobs),
+        lambda jobs: scan_best_split(FOUR_POINTS.points, TWO_CENTERS, cell_stats(FOUR_POINTS.points), jobs=jobs),
         lambda jobs: build_gini_tree(FOUR_POINTS, Assignment([0, 0, 1, 1]), 2, jobs=jobs),
         lambda jobs: prefix_scan(FOUR_POINTS.points, np.ones((1, 4)), lambda cums: cums[0], 0.0, jobs),
     ],

@@ -11,7 +11,6 @@ from xkmeans.core import Assignment, CenterSet, DataMatrix, kmeans_cost, load_cs
 from xkmeans.imm import ImmNodeState, best_mistake_split, build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import (
-    SyntheticIISpec,
     gen_gaussian_blobs,
     gen_synthetic_i,
     gen_synthetic_ii,
@@ -279,7 +278,7 @@ class TestBuildImm:
         # with the true codewords as reference centers, the ratio vs the
         # per-point-unit codeword cost stays below 2.2 * log2(k) (constant
         # frozen from the first verified run of this builder)
-        X, codewords, truth = gen_synthetic_ii(SyntheticIISpec(k=5, d=400, seed=0))
+        X, codewords, truth = gen_synthetic_ii(5, 400, seed=0)
         tree = build_imm(X, codewords, truth)
         tree_cost = kmeans_cost(X, tree.induced_assignment(X))
         optimal = float(X.n)
@@ -352,7 +351,7 @@ def blobs_instance(k, seed):
 ORACLE_INSTANCES = {
     **{f"blobs_k4_s{s}": partial(blobs_instance, 4, s) for s in range(4)},
     "blobs_k8": partial(blobs_instance, 8, 0),
-    "codeword": lambda: gen_synthetic_ii(SyntheticIISpec(k=5, d=400, seed=0)),
+    "codeword": lambda: gen_synthetic_ii(5, 400, seed=0),
     "iris": lambda: fitted(load_csv(files("xkmeans").joinpath("data/iris.csv")), 3),
     "outlier": lambda: fitted(gen_synthetic_i(seed=0, n=1000, d=200), 3),
 }

@@ -4,7 +4,6 @@ import pytest
 from xkmeans.core import Assignment, kmeans_cost
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import (
-    SyntheticIISpec,
     gen_gaussian_blobs,
     gen_synthetic_i,
     gen_synthetic_ii,
@@ -27,11 +26,10 @@ class TestCodewordDataset:
 
     def test_requires_d_above_k_squared(self):
         with pytest.raises(ValueError):
-            SyntheticIISpec(k=3, d=9, seed=0)
+            gen_synthetic_ii(3, 9, seed=0)
 
     def test_each_point_zeroes_exactly_one_codeword_coordinate(self):
-        spec = SyntheticIISpec(k=4, d=20, seed=5)
-        X, centers, labels = gen_synthetic_ii(spec)
+        X, centers, labels = gen_synthetic_ii(4, 20, seed=5)
         for i in range(X.n):
             cw = centers.centers[labels.labels[i]]
             diff = np.flatnonzero(X.points[i] != cw)
@@ -40,19 +38,18 @@ class TestCodewordDataset:
 
     def test_invariants_over_many_seeds(self):
         for seed in range(100):
-            spec = SyntheticIISpec(k=5, d=26, seed=seed)
-            X, centers, labels = gen_synthetic_ii(spec)
+            X, centers, labels = gen_synthetic_ii(5, 26, seed=seed)
             assert X.n == 5 * 26 and X.d == 26
             assert set(np.unique(X.points)) <= {-1.0, 0.0, 1.0}
             assert set(np.abs(centers.centers).ravel()) == {1.0}
-            assert spec.min_pairwise is not None
-            assert spec.min_pairwise >= 26 / 4
+            diff = centers.centers[:, None, :] - centers.centers[None, :, :]
+            sq = (diff**2).sum(axis=2)[~np.eye(5, dtype=bool)]
+            assert sq.min() >= 26 / 4
             counts = np.bincount(labels.labels, minlength=5)
             assert counts.tolist() == [26] * 5
 
     def test_codeword_cost_is_exactly_n(self):
-        spec = SyntheticIISpec(k=4, d=30, seed=1)
-        X, centers, labels = gen_synthetic_ii(spec)
+        X, centers, labels = gen_synthetic_ii(4, 30, seed=1)
         total = 0.0
         for j in range(4):
             ids = np.flatnonzero(labels.labels == j)
@@ -60,8 +57,7 @@ class TestCodewordDataset:
         assert total == float(X.n)  # each point sits at squared distance 1
 
     def test_mean_cost_is_k_times_d_minus_one(self):
-        spec = SyntheticIISpec(k=3, d=12, seed=2)
-        X, centers, labels = gen_synthetic_ii(spec)
+        X, centers, labels = gen_synthetic_ii(3, 12, seed=2)
         assert kmeans_cost(X, labels) == pytest.approx(3 * (12 - 1), rel=1e-12)
 
 
