@@ -27,12 +27,13 @@ def _lower_median(values: np.ndarray) -> float:
 
 def _kd_split(points: np.ndarray, stats) -> tuple[int, float] | None:
     """Highest-variance feature (from the cell's `cell_stats`) at its lower
-    median; None when the leaf has fewer than two distinct points."""
+    median, among features with a spread (a constant one's variance is
+    round-off); None when the leaf has fewer than two distinct points."""
     spread = points.max(axis=0) - points.min(axis=0)
     if not (spread > 0).any():
         return None
     m, _, ss = stats
-    feature = int(np.argmax(ss / m))  # ss / m is np.var, bit for bit
+    feature = int(np.argmax(np.where(spread > 0, ss / m, -np.inf)))  # ss / m is np.var, bit for bit
     vals = points[:, feature]
     theta = _lower_median(vals)
     if theta >= vals.max():

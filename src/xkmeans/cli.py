@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
                 if trace is not None:
                     steps = trace[: budget - base_leaves]
-                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(json.dumps(s.to_dict()) + "\n" for s in steps))
+                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(json.dumps(asdict(s)) + "\n" for s in steps))
     return results_path
 
 

@@ -1,12 +1,13 @@
 """Greedy tree expansion under a fixed-center surrogate cost.
 
 The expansion repeatedly splits the leaf whose best split buys the
-largest drop in surrogate cost, relabels the two children with their best
+largest drop in surrogate cost, labels the two children with their best
 reference centers, and rescans only those children. Because the centers
 never move, the per-leaf costs are independent and the whole loop needs no
 global recomputation. The loop itself is `tree.grow`, with the scan gain as
-each leaf's priority; `expand` prices and labels each new cell and records
-each step in the trace.
+each leaf's priority; `expand` prices and labels each new cell with
+`best_center`, its one labeling rule, and records each step in the trace.
+The scan ranks splits and prices the best one; it labels nothing.
 
 The split scan avoids evaluating every (threshold, center) pair from
 scratch. For a side S of the cell and a center mu,
@@ -27,7 +28,7 @@ That search, `prefix_scan`, is also the gini baseline's, on label counts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
@@ -51,8 +52,6 @@ _BLOCK = 64  # features vectorized together in the scan
 class SplitCandidate:
     feature: int
     threshold: float
-    left_label: int
-    right_label: int
     post_split_cost: float
     gain: float
 
@@ -68,9 +67,6 @@ class TraceStep:
     gain: float
     surrogate_cost: float
     kmeans_cost: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)  # the fields in declaration order
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     distinct values count. Each feature keeps its first cut within `tol` of
     its best, and the lowest feature within `tol` of the best of those
     wins, at any `jobs` (at most one thread per block). Returns (score,
-    feature, threshold, points left of the cut, the r prefix sums there),
-    or None.
+    feature, threshold), or None.
     """
     def scan_block(c0):
         blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
@@ -110,16 +105,15 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
         tot = np.where(valid, score(cums), np.inf)
         t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
         width = np.arange(blk.shape[0])
-        sums = np.stack([cum[width, t_star] for cum in cums], axis=1)
-        return tot[width, t_star], c0 + width, sv[width, t_star], t_star + 1, sums
+        return tot[width, t_star], c0 + width, sv[width, t_star]
 
     blocks = thread_map(scan_block, range(0, points.shape[1], _BLOCK), jobs)
     found = [b for b in blocks if b is not None]
     if not found:
         return None
-    best, feature, theta, n_left, sums = (np.concatenate(parts) for parts in zip(*found))
+    best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
     i = int(np.argmax(best <= best.min() + tol))  # features in ascending order
-    return float(best[i]), int(feature[i]), float(theta[i]), int(n_left[i]), sums[i]
+    return float(best[i]), int(feature[i]), float(theta[i])
 
 
 def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> SplitCandidate | None:
@@ -131,10 +125,10 @@ def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> Split
     tied and resolved to the lowest (feature, threshold); distinct splits
     can have algebraically identical costs (any split whose sides keep the
     parent's center does), so an exact-equality tie-break would be at the
-    mercy of summation order. Each side's label is its lowest center within
-    that tolerance of its cheapest, and a smaller gain, of either sign, is
-    0.0. Any `jobs` gives the same result. `stats` is the cell's
-    `cell_stats`, computed here when not given.
+    mercy of summation order. A smaller gain, of either sign, is 0.0. The
+    sides get no labels here: `expand` labels every cell with `best_center`.
+    Any `jobs` gives the same result. `stats` is the cell's `cell_stats`,
+    computed here when not given.
     """
     points = np.asarray(points, dtype=np.float64)
     m, mean, ss = cell_stats(points) if stats is None else stats
@@ -161,19 +155,14 @@ def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> Split
     found = prefix_scan(points, np.ascontiguousarray(P.T), side_costs, tol, jobs)
     if found is None:
         return None
-    score, feature, theta, n_left, cum = found
-    lcost = -2.0 * cum + lm2[:, n_left - 1]
-    rcost = -2.0 * (s_tot - cum) + rm2[:, n_left - 1]
-    ll = int(np.argmax(lcost <= lcost.min() + tol))
-    rl = int(np.argmax(rcost <= rcost.min() + tol))
-
+    score, feature, theta = found
     post_cost = sumsq + score
     gain = pre_score - score
     if abs(gain) < tol:  # round-off of either sign is no gain
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
-    return SplitCandidate(feature, theta, ll, rl, post_cost, gain)
+    return SplitCandidate(feature, theta, post_cost, gain)
 
 
 class _ClusterAggregates:
@@ -230,7 +219,7 @@ def expand(
         raise ValueError(f"budget {k_prime} is below the base leaf count {base.leaf_count}")
     tree = base.copy()
     for i in tree.leaf_ids():
-        if tree.node(i).label is None and tree.leaf_count > 1:
+        if tree.nodes[i].label is None and tree.leaf_count > 1:
             raise ValueError(f"base leaf {i} is unlabeled")
 
     leaf_cost: dict[int, float] = {}
@@ -239,7 +228,7 @@ def expand(
     def propose(leaf, ids, points, splittable):
         fresh[leaf] = stats = cell_stats(points)
         label, leaf_cost[leaf] = best_center(stats, M)
-        if tree.node(leaf).label is None:  # a new child, or the root of an empty tree
+        if tree.nodes[leaf].label is None:  # a new child, or the root of an empty tree
             tree.set_leaf_label(leaf, label)
         cand = scan_best_split(points, M, stats, jobs=jobs) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
@@ -247,15 +236,15 @@ def expand(
     splits = grow(X, tree, k_prime, propose)
     agg = _ClusterAggregates(M.k, X.d)  # grow proposed every base leaf already
     for leaf in tree.leaf_ids():
-        agg.merge(fresh.pop(leaf), tree.node(leaf).label)
+        agg.merge(fresh.pop(leaf), tree.nodes[leaf].label)
     initial_surrogate = float(sum(leaf_cost.values()))
     initial_kmeans = agg.cost()
 
     trace: list[TraceStep] = []
     for leaf in splits:
-        node = tree.node(leaf)
+        node = tree.nodes[leaf]
         for child in (node.left, node.right):  # its points leave the parent's cluster
-            stats, label = fresh.pop(child), tree.node(child).label
+            stats, label = fresh.pop(child), tree.nodes[child].label
             if label != node.label:
                 agg.merge(stats, node.label, -1)
                 agg.merge(stats, label)
@@ -266,7 +255,7 @@ def expand(
             gain = 0.0
         step = TraceStep(
             len(trace) + 1, leaf, node.feature, node.threshold,
-            tree.node(node.left).label, tree.node(node.right).label,
+            tree.nodes[node.left].label, tree.nodes[node.right].label,
             gain, float(sum(leaf_cost.values())), agg.cost(),
         )
         trace.append(step)

@@ -119,7 +119,7 @@ def build_imm(X: DataMatrix, M: CenterSet, reference: Assignment) -> ThresholdTr
         # a side may get centers but no points (the center-separation fallback)
         left_ids, right_ids = split_cell(X, state.point_ids, feature, theta)
         side = M.centers[state.center_ids, feature] <= theta
-        left_id, right_id = tree.split_leaf(leaf_id, feature, theta, None, None)
+        left_id, right_id = tree.split_leaf(leaf_id, feature, theta)
         stack.append((right_id, ImmNodeState(right_ids, state.center_ids[~side])))
         stack.append((left_id, ImmNodeState(left_ids, state.center_ids[side])))
     return tree

@@ -52,10 +52,12 @@ def _sq_dists_to(points: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.
     return out
 
 
-def _nearest(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # sq holds each |x|^2; argmin ties go to the lowest center. Doubling the
-    # products, not the points, is exact bar subnormals or overflow, and copies no (n, d)
-    d2 = sq[:, None] - 2.0 * (points @ centers.T) + np.einsum("ij,ij->i", centers, centers)[None, :]
+def _nearest(points: np.ndarray, mu: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # ranks |x - c|^2 - |x - mu|^2 = -2 x.(c - mu) + 2 mu.(c - mu) + |c - mu|^2 (mu: the data's
+    # mean), whose terms scale with the data's spread, not a shared offset. argmin ties go to
+    # the lowest center; doubling the products is exact bar subnormals, and copies no (n, d)
+    c = centers - mu
+    d2 = -2.0 * (points @ c.T) + (2.0 * (mu @ c.T) + np.einsum("ij,ij->i", c, c))
     return np.argmin(d2, axis=1)
 
 
@@ -116,8 +118,8 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
         raise ValueError("init centers and data disagree on dimension")
     k = init.k
     centers = np.array(init.centers)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    assign = _nearest(pts, sq, centers)
+    mu = pts.mean(axis=0)
+    assign = _nearest(pts, mu, centers)
     counts, means, cost = _cluster_pass(pts, assign, k)
     history = [cost]
 
@@ -128,7 +130,7 @@ def lloyd(X: DataMatrix, init: CenterSet, max_iter: int = 300, tol: float = 1e-4
             np.max(np.linalg.norm(new_centers - centers, axis=1) / (1.0 + np.linalg.norm(centers, axis=1)))
         )
         centers = new_centers
-        new_assign = _nearest(pts, sq, centers)
+        new_assign = _nearest(pts, mu, centers)
         stable = np.array_equal(new_assign, assign)
         if not stable:
             counts, means, cost = _cluster_pass(pts, new_assign, k)

@@ -4,10 +4,11 @@ The tree holds structure only. Which points sit in which cell is state of
 the builder that grows it, and `grow` is the one growth loop every greedy
 builder runs: it keeps the frontier's cells, splits them with `split_cell`
 (the mask that routing also applies), and asks the builder's callback to
-label each new leaf and propose its split. It splits best-first, popping a
-heap keyed on (-priority, leaf id); leaf ids only grow, so among equal
-priorities the oldest leaf goes first. Any tree, built, cut or loaded,
-gives the cells of a dataset with `cells`.
+label each new leaf by the builder's own rule, with `set_leaf_label`
+(`split_leaf` makes unlabeled children), and to propose its split. It
+splits best-first, popping a heap keyed on (-priority, leaf id); leaf ids
+only grow, so among equal priorities the oldest leaf goes first. Any tree,
+built, cut or loaded, gives the cells of a dataset with `cells`.
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable list indices (the root is always node 0) and are never reused;
@@ -74,7 +75,7 @@ def grow(
     def splits() -> Iterator[int]:
         while frontier and tree.leaf_count < max_leaves:
             _, leaf, feature, threshold, ids = heapq.heappop(frontier)
-            children = tree.split_leaf(leaf, feature, threshold, None, None)
+            children = tree.split_leaf(leaf, feature, threshold)
             for child, child_ids in zip(children, split_cell(X, ids, feature, threshold)):
                 visit(child, child_ids)
             yield leaf
@@ -98,8 +99,8 @@ class Node:
 class ThresholdTree:
     """Full binary threshold tree; leaves carry cluster labels."""
 
-    def __init__(self, *, root_label: int | None = None):
-        self.nodes: list[Node] = [Node(label=root_label)]
+    def __init__(self):
+        self.nodes: list[Node] = [Node()]
         self.root = 0
 
     # -- construction -----------------------------------------------------
@@ -108,9 +109,6 @@ class ThresholdTree:
         tree = ThresholdTree()
         tree.nodes = [replace(n) for n in self.nodes]
         return tree
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     def leaf_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.is_leaf]
@@ -138,15 +136,9 @@ class ThresholdTree:
             raise ValueError(f"node {leaf_id} is not a leaf")
         node.label = int(label)
 
-    def split_leaf(
-        self,
-        leaf_id: int,
-        feature: int,
-        threshold: float,
-        left_label: int | None,
-        right_label: int | None,
-    ) -> tuple[int, int]:
-        """Turn a leaf into an inner node; returns the two new leaf ids."""
+    def split_leaf(self, leaf_id: int, feature: int, threshold: float) -> tuple[int, int]:
+        """Turn a leaf into an inner node that keeps its label; returns the
+        ids of the two new leaves, which are unlabeled."""
         node = self.nodes[leaf_id]
         if not node.is_leaf:
             raise ValueError(f"node {leaf_id} is not a leaf")
@@ -154,8 +146,7 @@ class ThresholdTree:
             raise ValueError(f"feature {feature} out of range")
         left_id = len(self.nodes)
         right_id = left_id + 1
-        self.nodes.append(Node(label=left_label))
-        self.nodes.append(Node(label=right_label))
+        self.nodes += [Node(), Node()]
         node.feature = int(feature)
         node.threshold = float(threshold)
         node.left = left_id
@@ -178,13 +169,9 @@ class ThresholdTree:
 
     # -- routing -----------------------------------------------------------
 
-    def required_dim(self) -> int:
-        """Smallest point dimension the tree's tests can route."""
-        features = [n.feature for n in self.nodes if not n.is_leaf]
-        return max(features) + 1 if features else 0
-
     def _check_dim(self, d: int) -> None:
-        need = self.required_dim()
+        """Reject points of fewer dimensions than the tree's tests route on."""
+        need = max((n.feature + 1 for n in self.nodes if not n.is_leaf), default=0)
         if d < need:
             raise ValueError(f"point has dimension {d}, tree tests feature {need - 1}")
 

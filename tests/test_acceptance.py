@@ -7,13 +7,14 @@ once in a module fixture and reused by the criteria that inspect them.
 
 import json
 import time
+from dataclasses import asdict
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from xkmeans.baselines import build_gini_tree
-from xkmeans.core import Assignment, CenterSet, DataMatrix, cell_stats, kmeans_cost, load_csv
+from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center, cell_stats, kmeans_cost, load_csv
 from xkmeans.exkmc import expand, scan_best_split
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference, kmeanspp_seed, lloyd
@@ -33,7 +34,7 @@ def non_increasing(values, scale):
 
 
 def trace_json(trace):
-    return "\n".join(json.dumps(step.to_dict()) for step in trace)
+    return "\n".join(json.dumps(asdict(step)) for step in trace)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,10 @@ def test_criterion_1_fast_scan_matches_naive_enumeration():
         want = min((r for r in rows if r[0] <= cutoff), key=lambda r: (r[1], r[2]))
         assert got is not None, f"trial {trial}: scan returned no split"
         assert (got.feature, got.threshold) == (want[1], want[2]), f"trial {trial}"
-        assert (got.left_label, got.right_label) == (want[3], want[4]), f"trial {trial}"
+        # each side is labeled as `expand` labels it, by its own cheapest center
+        mask = pts[:, got.feature] <= got.threshold
+        labels = best_center(cell_stats(pts[mask]), M)[0], best_center(cell_stats(pts[~mask]), M)[0]
+        assert labels == (want[3], want[4]), f"trial {trial}"
         assert got.post_split_cost == pytest.approx(want[0], rel=1e-9), f"trial {trial}"
     elapsed = time.perf_counter() - started
     report(1, elapsed < 10.0, f"200/200 scans equal exhaustive enumeration in {elapsed:.1f}s (< 10s)")
@@ -147,7 +151,9 @@ def test_criterion_5_refinement_locality(blob_runs):
         before = tree.induced_assignment(X).labels
         for step in result.trace:
             moved = tree.cells(X)[step.leaf]
-            tree.split_leaf(step.leaf, step.feature, step.threshold, step.left_label, step.right_label)
+            left, right = tree.split_leaf(step.leaf, step.feature, step.threshold)
+            tree.set_leaf_label(left, step.left_label)
+            tree.set_leaf_label(right, step.right_label)
             after = tree.induced_assignment(X).labels
             outside = np.setdiff1d(np.arange(X.n), moved)
             if not np.array_equal(before[outside], after[outside]):

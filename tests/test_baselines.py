@@ -21,7 +21,7 @@ class TestKdTree:
 
     def test_four_point_example(self):
         tree = build_kdtree(FOUR_POINTS, TWO_CENTERS, max_leaves=2)
-        root = tree.node(tree.root)
+        root = tree.nodes[tree.root]
         # feature 0 has variance 4 vs 0.25; lower median of [0,0,4,4] is 0
         assert (root.feature, root.threshold) == (0, 0.0)
         assert tree.induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
@@ -46,6 +46,23 @@ class TestKdTree:
         assert tree.leaf_count == 2
         assert tree.induced_assignment(X).labels.tolist() == [0, 1, 1]
 
+    @pytest.mark.parametrize(
+        "points, max_leaves",
+        [
+            ([[0.1, 0.0], [0.1, 0.0], [0.1, 1e-17]], 2),
+            (np.column_stack([np.full(999, 123456.789), np.random.default_rng(0).integers(0, 2, 999) * 1e-9]), 4),
+        ],
+        ids=["three_rows", "offset_column"],
+    )
+    def test_constant_feature_is_never_split(self, points, max_leaves):
+        # the constant column's variance is round-off, here larger than the
+        # real spread of the other column: splitting it had no cut to take
+        X = DataMatrix(points)
+        tree = build_kdtree(X, CenterSet(X.points[:2]), max_leaves)
+        inner = [node for node in tree.nodes if not node.is_leaf]
+        assert inner and all(node.feature == 1 for node in inner)
+        assert all(ids.size for ids in tree.cells(X).values())
+
     def test_leaf_labels_are_surrogate_optimal(self):
         # swapping any single leaf's label to another center never lowers
         # the total fixed-center cost
@@ -56,7 +73,7 @@ class TestKdTree:
             cells = tree.cells(X)
             base = surrogate_cost(X, list(cells.values()), ref.centers)
             for leaf, ids in cells.items():
-                chosen = tree.node(leaf).label
+                chosen = tree.nodes[leaf].label
                 chosen_cost = ((X.points[ids] - ref.centers.centers[chosen]) ** 2).sum()
                 for other in range(ref.centers.k):
                     other_cost = ((X.points[ids] - ref.centers.centers[other]) ** 2).sum()
@@ -67,7 +84,7 @@ class TestGiniTree:
     def test_four_point_example(self):
         ref = Assignment([0, 0, 1, 1])
         tree = build_gini_tree(FOUR_POINTS, ref, max_leaves=2)
-        root = tree.node(tree.root)
+        root = tree.nodes[tree.root]
         assert (root.feature, root.threshold) == (0, 0.0)
         assert accuracy(ref, tree.induced_assignment(FOUR_POINTS)) == 1.0
 
@@ -94,7 +111,7 @@ class TestGiniTree:
         X = DataMatrix([[0.0], [0.0]])
         ref = Assignment([1, 0])
         tree = build_gini_tree(X, ref, max_leaves=2)
-        assert tree.node(tree.root).label == 0
+        assert tree.nodes[tree.root].label == 0
 
     def test_labels_are_reference_indices(self):
         X, _ = gen_gaussian_blobs(4, 40, 2, separation=5.0, seed=3)

@@ -198,14 +198,16 @@ class TestCliEntry:
 class TestExplain:
     def fig_tree_file(self, tmp_path):
         tree = ThresholdTree()
-        _, right = tree.split_leaf(0, 1, -2.5, 0, None)
-        tree.split_leaf(right, 0, 0.5, 1, 2)
+        left, right = tree.split_leaf(0, 1, -2.5)
+        for leaf, label in zip((left, *tree.split_leaf(right, 0, 0.5)), (0, 1, 2)):
+            tree.set_leaf_label(leaf, label)
         path = tmp_path / "tree.json"
         path.write_text(tree.to_json())
         return path
 
     def test_single_leaf_has_empty_path(self, tmp_path):
-        tree = ThresholdTree(root_label=0)
+        tree = ThresholdTree()
+        tree.set_leaf_label(tree.root, 0)
         path = tmp_path / "t.json"
         path.write_text(tree.to_json())
         steps, label = explain_point(path, [4.2])
@@ -469,7 +471,7 @@ def test_synthetic2_via_cli(tmp_path):
 
 def test_explain_dimension_mismatch_exit_code(tmp_path, capsys):
     tree = ThresholdTree()
-    tree.split_leaf(0, 1, -2.5, 0, 1)
+    tree.split_leaf(0, 1, -2.5)
     tree_file = tmp_path / "t.json"
     tree_file.write_text(tree.to_json())
     code = main(["explain", "--tree", str(tree_file), "--point", "0.5"])
@@ -481,7 +483,7 @@ def test_explain_dimension_mismatch_exit_code(tmp_path, capsys):
 def test_explain_non_finite_point_exit_code(tmp_path, capsys, point):
     # NaN compares false both ways, so no path through the tree is true of it
     tree = ThresholdTree()
-    tree.split_leaf(0, 0, 0.5, 0, 1)
+    tree.split_leaf(0, 0, 0.5)
     tree_file = tmp_path / "t.json"
     tree_file.write_text(tree.to_json())
     code = main(["explain", "--tree", str(tree_file), "--point", point])

@@ -66,6 +66,19 @@ def split_sides(points, M, feature, threshold):
     return best_center(cell_stats(points[mask]), M), best_center(cell_stats(points[~mask]), M)
 
 
+def side_labels(points, M, split):
+    """The labels `expand` gives the two sides of a split the scan returned."""
+    (ll, _), (rl, _) = split_sides(points, M, split.feature, split.threshold)
+    return ll, rl
+
+
+def replay_split(tree, step):
+    """Apply one trace step to a tree: the split and its children's labels."""
+    left, right = tree.split_leaf(step.leaf, step.feature, step.threshold)
+    tree.set_leaf_label(left, step.left_label)
+    tree.set_leaf_label(right, step.right_label)
+
+
 def replay_trace(X, M, base, result):
     """Re-apply a recorded expansion step by step on a fresh copy, checking
     each trace row against recomputation from first principles."""
@@ -73,9 +86,7 @@ def replay_trace(X, M, base, result):
     before = tree.induced_assignment(X).labels
     for step in result.trace:
         moved = tree.cells(X)[step.leaf]
-        tree.split_leaf(
-            step.leaf, step.feature, step.threshold, step.left_label, step.right_label
-        )
+        replay_split(tree, step)
         after = tree.induced_assignment(X).labels
         outside = np.setdiff1d(np.arange(X.n), moved)
         assert np.array_equal(before[outside], after[outside]), "labels leaked outside the split leaf"
@@ -137,9 +148,23 @@ class TestScanBestSplit:
     def test_four_point_candidate(self):
         cand = scan_best_split(FOUR_POINTS.points, TWO_CENTERS, cell_stats(FOUR_POINTS.points))
         assert (cand.feature, cand.threshold) == (0, 0.0)
-        assert (cand.left_label, cand.right_label) == (0, 1)
+        assert side_labels(FOUR_POINTS.points, TWO_CENTERS, cand) == (0, 1)
         assert cand.post_split_cost == pytest.approx(1.0, rel=1e-12)
         assert cand.gain == pytest.approx(32.0, rel=1e-12)
+
+    def test_outlier_cell_sides_get_their_own_cheapest_center(self):
+        # the outlier makes the cell cost ~1e12, so a tie tolerance taken
+        # from the whole cell would call both centers tied on the left side
+        # (2.42 against 1.62); the side's own cheapest center is 1
+        pts = np.array([[0.1], [0.1], [1e6]])
+        M = CenterSet([[-1.0], [1.0]])
+        got = scan_best_split(pts, M, cell_stats(pts))
+        want = naive_best_split(pts, M.centers)
+        assert (got.feature, got.threshold) == (want[1], want[2]) == (0, 0.1)
+        assert side_labels(pts, M, got) == (want[3], want[4]) == (1, 1)
+        assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
+        result = expand(DataMatrix(pts), M, ThresholdTree(), 2)
+        assert (result.trace[0].left_label, result.trace[0].right_label) == (1, 1)
 
     def test_stats_are_computed_when_not_given(self):
         # the two-argument call prices the cell itself, as a caller without
@@ -168,7 +193,7 @@ class TestScanBestSplit:
                 assert got is None
                 continue
             assert (got.feature, got.threshold) == (want[1], want[2])
-            assert (got.left_label, got.right_label) == (want[3], want[4])
+            assert side_labels(pts, M, got) == (want[3], want[4])
             assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
 
     def test_every_split_at_most_pre_cost(self):
@@ -278,9 +303,7 @@ class TestExpand:
         purity_step = None
         tree = base.copy()
         for idx, step in enumerate(result.trace):
-            tree.split_leaf(
-                step.leaf, step.feature, step.threshold, step.left_label, step.right_label
-            )
+            replay_split(tree, step)
             pure = all(
                 np.unique(ref.assignment.labels[ids]).size <= 1
                 for ids in tree.cells(X).values()
@@ -346,7 +369,7 @@ def test_exactly_tied_centers_go_to_the_lowest_index(seed):
     # split from a far group nearest the third center, the cell is a side
     both = np.vstack([cell, cell + [0.0, 50.0]])
     split = scan_best_split(both, M, cell_stats(both))
-    assert (split.feature, split.left_label, split.right_label) == (1, 0, 2)
+    assert (split.feature, *side_labels(both, M, split)) == (1, 0, 2)
 
 
 def test_lone_root_is_priced_once(monkeypatch):
@@ -360,7 +383,7 @@ def test_lone_root_is_priced_once(monkeypatch):
     result = expand(FOUR_POINTS, TWO_CENTERS, ThresholdTree(), 2)
     assert len(priced) == 3  # the whole-X root, then its two children
     assert priced[0][0] == FOUR_POINTS.n
-    assert result.tree.node(0).label == 0
+    assert result.tree.nodes[0].label == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,13 +406,13 @@ def test_scan_matches_naive_under_a_shared_offset(n, d, k, offset, seed):
         assert got is None
         return
     assert (got.feature, got.threshold) == (want[1], want[2])
-    assert (got.left_label, got.right_label) == (want[3], want[4])
+    assert side_labels(pts, M, got) == (want[3], want[4])
     assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
 
 
 def test_unlabeled_multi_leaf_base_rejected():
     tree = ThresholdTree()
-    tree.split_leaf(0, 0, 0.0, None, None)
+    tree.split_leaf(0, 0, 0.0)
     with pytest.raises(ValueError, match="unlabeled"):
         expand(FOUR_POINTS, TWO_CENTERS, tree, 4)
 
@@ -440,7 +463,7 @@ def test_scan_matches_naive_on_tie_heavy_integer_data(n, d, k, seed):
         return
     assert (got.feature, got.threshold) == (want[1], want[2])
     assert got.post_split_cost == pytest.approx(want[0], rel=1e-9, abs=1e-9)
-    assert (got.left_label, got.right_label) == (want[3], want[4])
+    assert side_labels(pts, M, got) == (want[3], want[4])
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,6 +500,19 @@ def test_full_budget_expansion_reaches_nearest_assignment(n, d, k, seed):
         assert step.kmeans_cost <= step.surrogate_cost + slack
 
 
+@pytest.mark.parametrize("offset", [1e8, 1e9])
+def test_full_budget_reproduces_the_reference_under_a_shared_offset(offset):
+    # the reference fit ranks centers from the data's mean, so far from the
+    # origin its assignment is still the nearest-center one that k' = n
+    # leaves reproduce
+    for seed in range(4):
+        X, _ = gen_gaussian_blobs(4, 400, 3, 3.0, seed=seed)
+        X = DataMatrix(X.points + offset)
+        ref = fit_reference(X, KMeansConfig(k=4, seed=0))
+        result = expand(X, ref.centers, build_imm(X, ref.centers, ref.assignment), X.n)
+        assert np.array_equal(result.tree.induced_assignment(X).labels, ref.assignment.labels)
+
+
 def klast_best_split(points, M, *, jobs=1):
     """Reference for `scan_best_split`: the same scan with the k centers as
     the last axis of each (points x block x k) array, reduced over that axis."""
@@ -511,18 +547,8 @@ def klast_best_split(points, M, *, jobs=1):
             t_star = (tot <= s_min + tol).argmax(axis=0)
             width = np.arange(cols.size)
             s_star = tot[t_star, width]
-            cum_star = cum[t_star, width, :]
-            n_left = (t_star + 1.0)[:, None]
-            # each side's lowest center within tol of its cheapest
-            lcost = -2.0 * cum_star + n_left * m2
-            rcost = -2.0 * (s_tot - cum_star) + (m - n_left) * m2
-            ll_vec = (lcost <= lcost.min(axis=1, keepdims=True) + tol).argmax(axis=1)
-            rl_vec = (rcost <= rcost.min(axis=1, keepdims=True) + tol).argmax(axis=1)
             for w in np.flatnonzero(np.isfinite(s_star)):
-                t = int(t_star[w])
-                entries.append(
-                    (float(s_star[w]), int(cols[w]), float(sv[t, w]), int(ll_vec[w]), int(rl_vec[w]))
-                )
+                entries.append((float(s_star[w]), int(cols[w]), float(sv[int(t_star[w]), w])))
         return entries
 
     if jobs <= 1:
@@ -535,24 +561,22 @@ def klast_best_split(points, M, *, jobs=1):
     if not found:
         return None
     cutoff = min(e[0] for e in found) + tol
-    score, feature, theta, ll, rl = min((e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2]))
+    score, feature, theta = min((e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2]))
     post_cost = sumsq + score
     gain = pre_score - score
     if abs(gain) < tol:
         gain = 0.0
     if -tol < post_cost < 0.0:
         post_cost = 0.0
-    return SplitCandidate(feature, theta, ll, rl, post_cost, gain)
+    return SplitCandidate(feature, theta, post_cost, gain)
 
 
 def assert_same_split(got, want):
-    """The same split and labels, and the same costs to 1e-12 relative."""
+    """The same split, and the same costs to 1e-12 relative."""
     if want is None:
         assert got is None
         return
-    assert (got.feature, got.threshold, got.left_label, got.right_label) == (
-        want.feature, want.threshold, want.left_label, want.right_label,
-    )
+    assert (got.feature, got.threshold) == (want.feature, want.threshold)
     scale = 1e-12 * max(1.0, want.post_split_cost + want.gain)  # the cell's cost
     assert got.post_split_cost == pytest.approx(want.post_split_cost, rel=1e-12, abs=scale)
     assert got.gain == pytest.approx(want.gain, rel=1e-12, abs=scale)
@@ -588,10 +612,6 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
             assert_same_split(scan_best_split(cell, M, cell_stats(cell), jobs=jobs), klast_best_split(cell, M, jobs=jobs))
 
 
-def scan_result(found):
-    return None if found is None else (*found[:4], found[4].tolist())
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10**6))
 def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
@@ -600,11 +620,11 @@ def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, 129)).astype(float)
     rows = rng.integers(0, 4, size=(r, n)).astype(float)
-    want = scan_result(prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5))
+    want = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5)
     M = CenterSet(rng.integers(-2, 3, size=(r, 129)).astype(float))
     for jobs in (2, 3):
         got = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5, jobs)
-        assert scan_result(got) == want
+        assert got == want
         assert scan_best_split(pts, M, cell_stats(pts), jobs=jobs) == scan_best_split(pts, M, cell_stats(pts))
 
 

@@ -226,12 +226,12 @@ class TestBuildImm:
     def test_k1_single_leaf(self):
         tree = build_imm(FOUR_POINTS, CenterSet([[1.0, 0.5]]), Assignment([0] * 4))
         assert tree.leaf_count == 1
-        assert tree.node(tree.root).label == 0
+        assert tree.nodes[tree.root].label == 0
 
     def test_four_point_tree(self):
         ref = Assignment([0, 0, 1, 1])
         tree = build_imm(FOUR_POINTS, TWO_CENTERS, ref)
-        root = tree.node(tree.root)
+        root = tree.nodes[tree.root]
         assert (root.feature, root.threshold) == (0, 0.0)
         assert tree.leaf_count == 2
         assert np.array_equal(tree.induced_assignment(FOUR_POINTS).labels, ref.labels)
@@ -249,7 +249,7 @@ class TestBuildImm:
             tree = build_imm(X, ref.centers, ref.assignment)
             assert tree.leaf_count == k
             assert tree.depth() <= k - 1
-            labels = sorted(tree.node(i).label for i in tree.leaf_ids())
+            labels = sorted(tree.nodes[i].label for i in tree.leaf_ids())
             assert labels == list(range(k))
 
     def test_leaf_point_sets_partition_ids(self):
@@ -296,7 +296,7 @@ class TestDegenerateNodes:
         assert tree.leaf_count == 2
         sizes = sorted(ids.size for ids in tree.cells(X).values())
         assert sizes == [0, 3]
-        labels = sorted(tree.node(i).label for i in tree.leaf_ids())
+        labels = sorted(tree.nodes[i].label for i in tree.leaf_ids())
         assert labels == [0, 1]
         assert np.array_equal(tree.induced_assignment(X).labels, ref.labels)
 
@@ -333,7 +333,7 @@ def test_build_invariants_on_tie_heavy_integer_data(n, d, k, seed):
     tree = build_imm(X, M, ref)
     assert tree.leaf_count == k
     assert tree.depth() <= k - 1
-    assert sorted(tree.node(i).label for i in tree.leaf_ids()) == list(range(k))
+    assert sorted(tree.nodes[i].label for i in tree.leaf_ids()) == list(range(k))
     ids = np.concatenate(list(tree.cells(X).values()))
     assert np.array_equal(np.sort(ids), np.arange(n))
 

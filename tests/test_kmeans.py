@@ -143,6 +143,19 @@ class TestLloyd:
             assert res.cost_history[-1] == res.cost_history[-2] == res.cost
             assert res.cost == kmeans_cost(X, res.assignment)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1e9])
+    def test_assignment_is_nearest_center_under_a_shared_offset(self, offset):
+        # the returned assignment must be the naive argmin over direct
+        # differences to the returned centers wherever the data sits
+        for seed in range(4):
+            X, _ = gen_gaussian_blobs(4, 400, 3, 3.0, seed=seed)
+            X = DataMatrix(X.points + offset)
+            res = fit_reference(X, KMeansConfig(k=4, seed=0))
+            diff = X.points[:, None, :] - res.centers.centers[None, :, :]
+            nearest = np.argmin((diff * diff).sum(axis=2), axis=1)
+            assert np.array_equal(res.assignment.labels, nearest), f"data seed {seed}"
+
+
 class TestFitReference:
     def test_n_init_one_equals_single_run(self):
         X, _ = gen_gaussian_blobs(3, 60, 3, separation=6.0, seed=2)
@@ -184,22 +197,30 @@ class TestFitReference:
 @pytest.mark.parametrize("d", [1, 2, 1000])
 @pytest.mark.parametrize("offset", [0.0, 1e9])
 def test_fit_reference_does_not_depend_on_jobs(monkeypatch, d, offset):
-    # at a 1e9 offset the assignment's |x|^2 - 2 x.c + |c|^2 rounds the
-    # distances together, argmin sends whole clusters to a lower index, and
-    # the emptied clusters are reseeded
+    # every restart's last seed sits past the data's bounding box in every
+    # coordinate, so no point is nearest it: its cluster starts empty and is
+    # reseeded, and the reseed path runs under the jobs check at each offset
     reseeded = []
     update = kmeans._update_means
+    seed = kmeans.kmeanspp_seed
 
     def spy(pts, assign, counts, means):
         reseeded.append(int((counts == 0).sum()))
         return update(pts, assign, counts, means)
 
+    def far_last_seed(X, k, rng):
+        centers = seed(X, k, rng).centers.copy()
+        hi, lo = X.points.max(axis=0), X.points.min(axis=0)
+        centers[-1] = hi + (hi - lo) + 1.0
+        return CenterSet(centers)
+
     monkeypatch.setattr(kmeans, "_update_means", spy)
+    monkeypatch.setattr(kmeans, "kmeanspp_seed", far_last_seed)
     X, _ = gen_gaussian_blobs(4, 120, d, separation=2.0, seed=d)
     X = DataMatrix(X.points + offset)
     cfg = KMeansConfig(k=4, seed=d)
     want = fit_reference(X, cfg)
-    assert sum(reseeded) > 0 or offset == 0.0
+    assert sum(reseeded) >= cfg.n_init
     for jobs in (2, 3, 11):  # 11 is more workers than restarts
         got = fit_reference(X, cfg, jobs=jobs)
         assert got.centers.centers.tobytes() == want.centers.centers.tobytes()

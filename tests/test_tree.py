@@ -10,24 +10,40 @@ from xkmeans.tree import ThresholdTree, grow
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
 
 
+def labeled(label):
+    """A lone root labeled `label`."""
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, label)
+    return tree
+
+
+def split(tree, leaf, feature, threshold, *labels):
+    """Split a leaf, then label its children with `labels` (None: unlabeled)."""
+    children = tree.split_leaf(leaf, feature, threshold)
+    for child, label in zip(children, labels):
+        if label is not None:
+            tree.set_leaf_label(child, label)
+    return children
+
+
 def fig_tree():
     # root: y <= -2.5; right child: x <= 0.5; leaves labeled 0, 1, 2
     X = DataMatrix([[0.0, -3.0], [0.0, 0.0], [1.0, 0.0]])
     tree = ThresholdTree()
-    _, right = tree.split_leaf(0, feature=1, threshold=-2.5, left_label=0, right_label=None)
-    tree.split_leaf(right, feature=0, threshold=0.5, left_label=1, right_label=2)
+    _, right = split(tree, 0, 1, -2.5, 0, None)
+    split(tree, right, 0, 0.5, 1, 2)
     return tree, X
 
 
 class TestRoute:
     def test_single_leaf(self):
-        tree = ThresholdTree(root_label=0)
+        tree = labeled(0)
         cells = tree.cells(DataMatrix([(0, 0), (100, -5)]))
         assert {leaf: ids.tolist() for leaf, ids in cells.items()} == {0: [0, 1]}
 
     def test_boundary_goes_left(self):
         tree = ThresholdTree()
-        left, right = tree.split_leaf(0, 0, 0.5, 0, 1)
+        left, right = split(tree, 0, 0, 0.5, 0, 1)
         cells = tree.cells(DataMatrix([(0.5, 9.0), (0.500001, 9.0)]))
         assert cells[left].tolist() == [0]
         assert cells[right].tolist() == [1]
@@ -38,7 +54,7 @@ class TestRoute:
 class TestInducedAssignment:
     def test_constant_labels(self):
         tree = ThresholdTree()
-        l, r = tree.split_leaf(0, 0, 0.0, 0, 0)
+        l, r = split(tree, 0, 0, 0.0, 0, 0)
         got = tree.induced_assignment(FOUR_POINTS)
         assert got.labels.tolist() == [0, 0, 0, 0]
 
@@ -48,7 +64,7 @@ class TestInducedAssignment:
 
     def test_four_point_split(self):
         tree = ThresholdTree()
-        tree.split_leaf(0, 0, 0.0, 0, 1)
+        split(tree, 0, 0, 0.0, 0, 1)
         assert tree.induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
 
     def test_unlabeled_leaf_rejected(self):
@@ -58,18 +74,26 @@ class TestInducedAssignment:
 
 
 class TestSplitLeaf:
+    def test_children_are_unlabeled_and_the_inner_node_keeps_its_label(self):
+        tree = labeled(1)
+        left, right = tree.split_leaf(0, 0, 0.0)
+        assert tree.nodes[left].label is None and tree.nodes[right].label is None
+        assert tree.nodes[0].label == 1 and not tree.nodes[0].is_leaf
+        with pytest.raises(ValueError, match="unlabeled"):
+            tree.induced_assignment(FOUR_POINTS)
+
     def test_four_point_partition(self):
         tree = ThresholdTree()
-        left, right = tree.split_leaf(0, 0, 0.0, 0, 1)
+        left, right = split(tree, 0, 0, 0.0, 0, 1)
         cells = tree.cells(FOUR_POINTS)
         assert cells[left].tolist() == [0, 1]
         assert cells[right].tolist() == [2, 3]
-        assert tree.node(left).label == 0 and tree.node(right).label == 1
+        assert tree.nodes[left].label == 0 and tree.nodes[right].label == 1
 
     def test_two_point_midpoint(self):
         X = DataMatrix([[0.0], [2.0]])
         tree = ThresholdTree()
-        l, r = tree.split_leaf(0, 0, 1.0, 0, 1)
+        l, r = tree.split_leaf(0, 0, 1.0)
         cells = tree.cells(X)
         assert cells[l].tolist() == [0]
         assert cells[r].tolist() == [1]
@@ -89,7 +113,7 @@ class TestSplitLeaf:
             theta = np.median(vals)
             if theta >= vals.max():
                 theta = vals.min()
-            tree.split_leaf(leaf, 0, theta, 0, 1)
+            tree.split_leaf(leaf, 0, theta)
             splits += 1
         assert tree.leaf_count == 1 + splits
         # the O(1) count holds for cut and loaded trees as well
@@ -113,19 +137,19 @@ class TestSplitLeaf:
             theta = float(np.sort(vals)[(vals.size - 1) // 2])
             if theta >= vals.max():
                 theta = float(vals.min())
-            tree.split_leaf(leaf, f, theta, 0, 0)
+            tree.split_leaf(leaf, f, theta)
         all_ids = np.concatenate(list(tree.cells(X).values()))
         assert np.array_equal(np.sort(all_ids), np.arange(X.n))
 
 
 class TestExport:
     def test_text_single_leaf(self):
-        tree = ThresholdTree(root_label=0)
+        tree = labeled(0)
         assert tree.export_text() == "label 0\n"
 
     def test_text_four_point_tree(self):
         tree = ThresholdTree()
-        tree.split_leaf(0, 0, 0.0, 0, 1)
+        split(tree, 0, 0, 0.0, 0, 1)
         assert tree.export_text() == "feature 0 <= 0.0\n  label 0\n  label 1\n"
 
     def test_text_nested_tree(self):
@@ -161,7 +185,7 @@ class TestExport:
             theta = float(np.sort(vals)[(vals.size - 1) // 2])
             if theta >= vals.max():
                 theta = float(vals.min())
-            tree.split_leaf(leaf, f, theta, 0, 0)
+            tree.split_leaf(leaf, f, theta)
         for i in tree.leaf_ids():
             tree.set_leaf_label(i, i % 3)
 
@@ -174,7 +198,7 @@ class TestExport:
 
     def test_json_schema_field_order(self):
         tree = ThresholdTree()
-        tree.split_leaf(0, 0, 0.0, 0, 1)
+        split(tree, 0, 0, 0.0, 0, 1)
         text = tree.to_json()
         assert text == (
             '{"nodes": [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2},'
@@ -224,9 +248,9 @@ def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits, se
 class TestPrefix:
     def grown_tree(self):
         # every split keeps its parent's label on the left child
-        tree = ThresholdTree(root_label=0)
-        _, right = tree.split_leaf(0, 0, 0.0, 0, 1)
-        tree.split_leaf(right, 1, 0.0, 1, 2)
+        tree = labeled(0)
+        _, right = split(tree, 0, 0, 0.0, 0, 1)
+        split(tree, right, 1, 0.0, 1, 2)
         return tree
 
     def test_budget_at_or_above_leaf_count_keeps_whole_tree(self):
@@ -238,11 +262,11 @@ class TestPrefix:
 
     def test_cut_split_becomes_leaf_with_pre_split_label(self):
         tree = self.grown_tree()
-        two = ThresholdTree(root_label=0)
-        two.split_leaf(0, 0, 0.0, 0, 1)
+        two = labeled(0)
+        split(two, 0, 0, 0.0, 0, 1)
         assert tree.prefix(2).to_json() == two.to_json()
         assert tree.prefix(2).induced_assignment(FOUR_POINTS).labels.tolist() == [0, 0, 1, 1]
-        assert tree.prefix(1).to_json() == ThresholdTree(root_label=0).to_json()
+        assert tree.prefix(1).to_json() == labeled(0).to_json()
 
     def test_source_tree_is_left_unmodified(self):
         tree = self.grown_tree()
@@ -251,7 +275,7 @@ class TestPrefix:
         cut.set_leaf_label(2, 2)
         after = (tree.to_json(), [ids.tolist() for ids in tree.cells(FOUR_POINTS).values()])
         assert before == after
-        assert tree.node(2).feature == 1 and tree.node(2).label == 1
+        assert tree.nodes[2].feature == 1 and tree.nodes[2].label == 1
 
     def test_zero_leaves_rejected(self):
         with pytest.raises(ValueError):
@@ -293,7 +317,7 @@ def test_deep_chain_walks_without_recursion():
     tree = ThresholdTree()
     leaf = tree.root
     for i in range(n - 1):
-        _, leaf = tree.split_leaf(leaf, 0, float(i), i, None)
+        _, leaf = split(tree, leaf, 0, float(i), i, None)
     tree.set_leaf_label(leaf, n - 1)
     assert tree.leaf_count == n
     assert tree.depth() == n - 1
