@@ -21,33 +21,23 @@ from xkmeans.tree import ThresholdTree, grow
 __all__ = ["build_kdtree", "build_gini_tree"]
 
 
-def _lower_median(values: np.ndarray) -> float:
-    return float(np.sort(values)[(values.size - 1) // 2])
-
-
 def _kd_split(points: np.ndarray, stats) -> tuple[int, float] | None:
-    """Highest-variance feature (from the cell's `cell_stats`) at its lower
-    median, among features with a spread (a constant one's variance is
-    round-off); None when the leaf has fewer than two distinct points."""
+    """Highest-variance feature (from the cell's `cell_stats`) among features
+    with a spread (a constant one's variance is round-off), at the lesser of
+    its lower median and its largest value below the max, so both sides get
+    points; None when the leaf has fewer than two distinct points."""
     spread = points.max(axis=0) - points.min(axis=0)
     if not (spread > 0).any():
         return None
     m, _, ss = stats
     feature = int(np.argmax(np.where(spread > 0, ss / m, -np.inf)))  # ss / m is np.var, bit for bit
-    vals = points[:, feature]
-    theta = _lower_median(vals)
-    if theta >= vals.max():
-        # a heavy upper tie can pull the lower median onto the max; step
-        # down to keep both sides nonempty
-        theta = float(vals[vals < vals.max()].max())
-    return feature, theta
+    vals = np.sort(points[:, feature])
+    return feature, float(min(vals[(m - 1) // 2], vals[np.searchsorted(vals, vals[-1]) - 1]))
 
 
 def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     """Grow best-first by leaf population, labeling each cell with its
     cheapest reference center as it is made."""
-    if max_leaves < 1:
-        raise ValueError("max_leaves must be at least 1")
     tree = ThresholdTree()
 
     def propose(leaf, ids, points, splittable):
@@ -101,8 +91,6 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int, jobs:
     """Best-first classification tree on the reference labels: at each step
     split the frontier leaf with the largest count-weighted gini decrease.
     `jobs` threads share each split scan's feature blocks."""
-    if max_leaves < 1:
-        raise ValueError("max_leaves must be at least 1")
     if reference.n != X.n:
         raise ValueError("reference assignment does not match the dataset")
     labels = reference.labels

@@ -176,13 +176,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
     After the reference fit the methods build as independent groups (imm and
     exkmc_imm share the IMM base) through `thread_map` on `jobs`, each split
     scan on max(1, jobs // groups) threads. Rows and files keep method order
-    and their bytes."""
+    and their bytes. A cost that overflows float64 raises before any file is
+    written."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     X = _load_dataset(config)
-    if config.k > X.n:
-        raise ValueError(f"k={config.k} exceeds dataset size n={X.n}")
-
     reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
 
     imm_group = [m for m in config.methods if m in _IMM_FAMILY]
@@ -190,6 +188,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
     scan_jobs = max(1, config.jobs // max(1, len(groups)))
     built = thread_map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
+    costs = [reference.cost]
+    for _, trace, _, scored in by_method.values():
+        costs += [c for _, scores in scored for c in scores[:2]]
+        costs += [c for t in trace or () for c in (t.gain, t.surrogate_cost, t.kmeans_cost)]
+    if not np.isfinite(costs).all():
+        raise ValueError("a cost overflows float64; scale the data down")
 
     results_path = out_dir / "results.csv"
     with results_path.open("w", newline="") as fh:

@@ -14,9 +14,14 @@ sorted endpoints, read for every candidate with `searchsorted` (Dasgupta,
 Frost, Moshkovitz & Rashtchian, ICML 2020, section 3). Candidate thresholds
 are the distinct point and center coordinate values inside
 [min center coord, max center coord); restricting to center coordinates
-alone can miss splits with strictly fewer mistakes. A node with m points
-costs O(d m log m) time, and O(m) extra memory, since features are handled
-one at a time.
+alone can miss splits with strictly fewer mistakes. Every candidate is
+ranked by one key, mistakes + (m + 1) * one_sided for a node with m points,
+where a one-sided candidate routes no point to one side (every candidate of
+a node without points is one). A node never has more than m mistakes, so a
+split that sends points both ways wins whenever one exists, and center
+separation alone decides otherwise; equal keys go to the lowest feature,
+then the lowest threshold. A node costs O(d m log m) time, and O(m) extra
+memory, since features are handled one at a time.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ class ImmNodeState:
 def best_mistake_split(
     X: DataMatrix, M: CenterSet, reference: Assignment, state: ImmNodeState
 ) -> tuple[int, float, int]:
-    """Minimum-mistake split of a node (tie: lowest feature, lowest threshold).
-
-    Only candidates routing at least one point to each side are considered
-    while any exist; if none do, center separation alone decides.
-    """
+    """The split of a node with the least key, mistakes + (m + 1) * one_sided
+    for a node with m points (tie: lowest feature, lowest threshold), and its
+    mistake count. A one-sided candidate leaves one side without points, so
+    it ranks after every two-sided one."""
     if state.center_ids.size < 2:
         raise ValueError("node must contain at least two centers")
     ids = state.point_ids
@@ -57,20 +61,12 @@ def best_mistake_split(
     cmin = cvals.min(axis=0)
     cmax = cvals.max(axis=0)
 
-    best = None  # (mistakes, feature, theta) over two-sided candidates
-    fallback = None  # over all candidates; used only when no candidate is two-sided
+    best = None  # (key, feature, theta, mistakes)
     for f in np.flatnonzero(cmin < cmax):
         f = int(f)
         col = X.points[ids, f]
-        col_c = cvals[:, f]
-        cand = np.unique(
-            np.concatenate(
-                [
-                    col[(col >= cmin[f]) & (col < cmax[f])],
-                    col_c[(col_c >= cmin[f]) & (col_c < cmax[f])],
-                ]
-            )
-        )
+        both = np.concatenate([col, cvals[:, f]])
+        cand = np.unique(both[(both >= cmin[f]) & (both < cmax[f])])
         p = col[elig]
         c = M.centers[elig_labs, f]
         lo = np.minimum(p, c)
@@ -78,22 +74,17 @@ def best_mistake_split(
         lo.sort()
         hi.sort()
         counts = np.searchsorted(lo, cand, "right") - np.searchsorted(hi, cand, "right")
-        j = int(np.argmin(counts))
-        if fallback is None or counts[j] < fallback[0]:
-            fallback = (int(counts[j]), f, float(cand[j]))
-        if ids.size == 0:
-            continue
-        # points on both sides exactly when min(col) <= theta < max(col)
-        a, b = np.searchsorted(cand, (col.min(), col.max()))
-        if a < b:
-            j = a + int(np.argmin(counts[a:b]))
-            if best is None or counts[j] < best[0]:
-                best = (int(counts[j]), f, float(cand[j]))
+        # points on both sides exactly when min(col) <= theta < max(col); a
+        # node with no points has no such candidate
+        one_sided = (cand < col.min(initial=np.inf)) | (cand >= col.max(initial=-np.inf))
+        key = counts + (ids.size + 1) * one_sided
+        j = int(np.argmin(key))
+        if best is None or key[j] < best[0]:
+            best = (int(key[j]), f, float(cand[j]), int(counts[j]))
 
-    chosen = best if best is not None else fallback
-    if chosen is None:
+    if best is None:
         raise ValueError("centers are identical on every feature; no split exists")
-    mistakes, feature, theta = chosen
+    _, feature, theta, mistakes = best
     return feature, theta, mistakes
 
 
@@ -116,7 +107,7 @@ def build_imm(X: DataMatrix, M: CenterSet, reference: Assignment) -> ThresholdTr
             tree.set_leaf_label(leaf_id, int(state.center_ids[0]))
             continue
         feature, theta, _ = best_mistake_split(X, M, reference, state)
-        # a side may get centers but no points (the center-separation fallback)
+        # a side may get centers but no points (a one-sided split)
         left_ids, right_ids = split_cell(X, state.point_ids, feature, theta)
         side = M.centers[state.center_ids, feature] <= theta
         left_id, right_id = tree.split_leaf(leaf_id, feature, theta)

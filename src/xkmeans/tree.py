@@ -60,6 +60,8 @@ def grow(
     yielded once both children are proposed. Growth ends when the tree has
     `max_leaves` leaves or no leaf can split, or when the caller stops.
     """
+    if max_leaves < 1:
+        raise ValueError("max_leaves must be at least 1")
     frontier = []  # (-priority, leaf id, feature, threshold, point ids)
 
     def visit(leaf: int, ids: np.ndarray) -> None:

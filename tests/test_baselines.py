@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xkmeans.baselines import _gini_of_counts, _gini_split, build_gini_tree, build_kdtree
-from xkmeans.core import Assignment, CenterSet, DataMatrix, accuracy, surrogate_cost
+from xkmeans.core import Assignment, CenterSet, DataMatrix, accuracy, best_center, cell_stats, surrogate_cost
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import gen_gaussian_blobs
+from xkmeans.tree import ThresholdTree
 
 FOUR_POINTS = DataMatrix([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
 TWO_CENTERS = CenterSet([[0.0, 0.5], [4.0, 0.5]])
@@ -78,6 +79,59 @@ class TestKdTree:
                 for other in range(ref.centers.k):
                     other_cost = ((X.points[ids] - ref.centers.centers[other]) ** 2).sum()
                     assert chosen_cost <= other_cost + 1e-9 * max(1.0, base)
+
+
+def naive_kdtree(X, M, max_leaves):
+    """Reference for `build_kdtree`, with no heap and no cached state: at
+    every step route X through the tree afresh and split the largest cell
+    holding two distinct points (ties: lowest leaf id) on its highest-`np.var`
+    feature among those with a spread, at the lower median, stepped down to
+    the largest value below the max when the two are equal. Each new leaf is
+    labeled `best_center(cell_stats(cell), M)`."""
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, best_center(cell_stats(X.points), M)[0])
+    while tree.leaf_count < max_leaves:
+        cells = tree.cells(X)
+        sizes = {leaf: ids.size for leaf, ids in cells.items() if np.unique(X.points[ids], axis=0).shape[0] > 1}
+        if not sizes:
+            break
+        leaf = min(sizes, key=lambda leaf: (-sizes[leaf], leaf))
+        pts = X.points[cells[leaf]]
+        spread = pts.max(axis=0) > pts.min(axis=0)
+        feature = int(np.argmax(np.where(spread, pts.var(axis=0), -np.inf)))
+        vals = np.sort(pts[:, feature])
+        theta = vals[(vals.size - 1) // 2]
+        if theta == vals[-1]:
+            theta = vals[vals < vals[-1]].max()
+        children = tree.split_leaf(leaf, feature, float(theta))
+        cells = tree.cells(X)
+        for child in children:
+            tree.set_leaf_label(child, best_center(cell_stats(X.points[cells[child]]), M)[0])
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_kdtree_matches_naive_whole_build(n, d, k, grid, duplicates, offset, seed, data):
+    # integer grids tie variances, medians and cell sizes exactly; repeated
+    # rows pull the lower median onto the max and leave cells unsplittable
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
+    if duplicates:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    X = DataMatrix(pts + offset)
+    M = CenterSet(rng.normal(size=(k, d)) + offset)
+    max_leaves = data.draw(st.integers(1, n))
+    assert build_kdtree(X, M, max_leaves).to_json() == naive_kdtree(X, M, max_leaves).to_json()
 
 
 class TestGiniTree:

@@ -275,6 +275,31 @@ def test_non_finite_blob_box_exit_code(tmp_path, capsys, separation):
     assert not (out / "results.csv").exists()
 
 
+def _rows_near_1e153():
+    centers = np.repeat([[1e153, 1e153], [-1e153, -1e153]], 500, axis=0)
+    points = centers + 1e140 * np.random.default_rng(0).normal(size=(1000, 2))
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+
+
+@pytest.mark.parametrize(
+    "text",
+    # the reference cost overflows; then a finite reference with an exkmc
+    # split whose costs overflow (inf cost, nan gain in its trace)
+    ["1.7e308,0\n-1.7e308,1\n0,2\n", _rows_near_1e153()],
+    ids=["reference", "exkmc_trace"],
+)
+def test_overflowing_costs_exit_1_before_any_output(tmp_path, capsys, text):
+    data = tmp_path / "big.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--data", str(data), "--k", "2", "--leaves", "k,2k", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
 BAD_BUDGETS = "leaf budgets must be at least 1 and strictly ascending"
 
 

@@ -203,6 +203,26 @@ class TestBestMistakeSplit:
         with pytest.raises(ValueError):
             best_mistake_split(X, M, Assignment([0, 1]), state)
 
+    def test_two_sided_split_beats_a_clean_one_sided_split(self):
+        # feature 0 has one candidate, 0.0: it keeps both points with their
+        # centers but sends no point right. Every two-sided candidate of
+        # feature 1 separates both points, as many mistakes as the node has
+        # points, and must still rank first.
+        X = DataMatrix([[0.0, 9.0], [0.0, 1.0]])
+        M = CenterSet([[0.0, 0.0], [0.0, 10.0], [10.0, 5.0]])
+        ref = Assignment([0, 1])
+        state = ImmNodeState(np.arange(2), np.arange(3))
+        assert best_mistake_split(X, M, ref, state) == (1, 1.0, 2)
+        assert dense_best_mistake_split(X, M, ref, state) == (1, 1.0, 2)
+
+    def test_node_without_points_separates_centers(self):
+        # every candidate is one-sided and has no mistakes: the lowest
+        # feature with a spread, at its lowest center coordinate
+        X = DataMatrix([[0.0, 0.0], [1.0, 1.0]])
+        M = CenterSet([[2.0, 3.0], [2.0, 1.0], [5.0, 4.0]])
+        state = ImmNodeState(np.array([], dtype=np.int64), np.array([0, 1]))
+        assert best_mistake_split(X, M, Assignment([0, 1]), state) == (1, 1.0, 0)
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(31)
         for trial in range(50):

@@ -245,6 +245,16 @@ def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits, se
     assert sorted(searches) == searched
 
 
+
+@pytest.mark.parametrize("max_leaves", [0, -1])
+def test_grow_rejects_a_budget_below_one_before_proposing(max_leaves):
+    def propose(*args):
+        raise AssertionError("no leaf may be proposed")
+
+    with pytest.raises(ValueError, match="max_leaves must be at least 1"):
+        grow(FOUR_POINTS, ThresholdTree(), max_leaves, propose)
+
+
 class TestPrefix:
     def grown_tree(self):
         # every split keeps its parent's label on the left child
