@@ -58,10 +58,9 @@ def _gini_of_counts(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((p * p).sum())
 
 
-def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int, jobs: int = 1):
+def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     """Count-weighted impurity decrease of the best split, or None for a
-    pure or unsplittable leaf. Ties go to the lowest (feature, threshold),
-    at any `jobs`."""
+    pure or unsplittable leaf. Ties go to the lowest (feature, threshold)."""
     m = points.shape[0]
     total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
     present = np.flatnonzero(total_counts)
@@ -79,7 +78,7 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int, jobs: int
 
     # one row of label indicators per label in the cell; absent labels add 0
     rows = (labels == present[:, None]).astype(np.float64)
-    found = prefix_scan(points, rows, negative_decrease, 0.0, jobs)
+    found = prefix_scan(points, rows, negative_decrease, 0.0)
     return None if found is None else (-found[0], found[1], found[2])
 
 
@@ -87,10 +86,9 @@ def _majority(labels: np.ndarray, n_labels: int) -> int:
     return int(np.argmax(np.bincount(labels, minlength=n_labels)))
 
 
-def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int, jobs: int = 1) -> ThresholdTree:
+def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> ThresholdTree:
     """Best-first classification tree on the reference labels: at each step
-    split the frontier leaf with the largest count-weighted gini decrease.
-    `jobs` threads share each split scan's feature blocks."""
+    split the frontier leaf with the largest count-weighted gini decrease."""
     if reference.n != X.n:
         raise ValueError("reference assignment does not match the dataset")
     labels = reference.labels
@@ -101,7 +99,7 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int, jobs:
     def propose(leaf, ids, points, splittable):
         cell_labels = labels[ids]
         tree.set_leaf_label(leaf, _majority(cell_labels, n_labels))
-        return _gini_split(points, cell_labels, n_labels, jobs) if splittable else None
+        return _gini_split(points, cell_labels, n_labels) if splittable else None
 
     for _ in grow(X, tree, max_leaves, propose):
         pass

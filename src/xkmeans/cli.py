@@ -40,6 +40,7 @@ RESULT_COLUMNS = (
     "leaves",
     "wall_time_ms",  # last: benchmarks/check.py drops it before digesting
 )
+_OVERFLOW = "a cost overflows float64; scale the data down"
 
 
 @dataclass
@@ -132,10 +133,10 @@ def _csv_row(method, k_prime, scores, wall_time_ms) -> list:
     return [method, k_prime, *(repr(float(v)) for v in floats), leaves, repr(float(wall_time_ms))]
 
 
-def _build_group(X, reference, methods, budgets, jobs) -> dict:
-    """Build a group's methods at the largest budget, `jobs` threads per split
-    scan, and score each budget; a tree that repeats the previous budget's keeps
-    its scores. Returns method -> (ms, trace, base leaves, [(tree, scores)])."""
+def _build_group(X, reference, methods, budgets) -> dict:
+    """Build a group's methods at the largest budget and score each budget; a
+    tree that repeats the previous budget's keeps its scores. Returns
+    method -> (ms, trace, base leaves, [(tree, scores)])."""
     started, imm_base = time.perf_counter(), None
     if any(m in _IMM_FAMILY for m in methods):
         imm_base = build_imm(X, reference.centers, reference.assignment)
@@ -151,12 +152,12 @@ def _build_group(X, reference, methods, budgets, jobs) -> dict:
         elif method in ("exkmc", "exkmc_imm"):
             base = imm_base if method == "exkmc_imm" else ThresholdTree()
             base_leaves = base.leaf_count
-            result = expand(X, reference.centers, base, budgets[-1], jobs=jobs)
+            result = expand(X, reference.centers, base, budgets[-1])
             full, trace = result.tree, result.trace
         elif method == "kdtree":
             full = build_kdtree(X, reference.centers, budgets[-1])
         else:  # gini_tree
-            full = build_gini_tree(X, reference.assignment, budgets[-1], jobs=jobs)
+            full = build_gini_tree(X, reference.assignment, budgets[-1])
         elapsed_ms = (time.perf_counter() - started) * 1000.0
 
         scored = []
@@ -173,27 +174,28 @@ def _build_group(X, reference, methods, budgets, jobs) -> dict:
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute one configuration; returns the results.csv path.
 
-    After the reference fit the methods build as independent groups (imm and
-    exkmc_imm share the IMM base) through `thread_map` on `jobs`, each split
-    scan on max(1, jobs // groups) threads. Rows and files keep method order
-    and their bytes. A cost that overflows float64 raises before any file is
-    written."""
+    The reference fit's restarts, then the methods as independent groups (imm
+    and exkmc_imm share the IMM base), run through `thread_map` on `jobs`; no
+    build starts a thread. Rows and files keep method order and their bytes. A
+    cost that overflows float64 raises before any file is written, and the
+    reference's before any build."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     X = _load_dataset(config)
     reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
+    if not np.isfinite(reference.cost):
+        raise ValueError(_OVERFLOW)
 
     imm_group = [m for m in config.methods if m in _IMM_FAMILY]
     groups = [imm_group] * bool(imm_group) + [[m] for m in config.methods if m not in imm_group]
-    scan_jobs = max(1, config.jobs // max(1, len(groups)))
-    built = thread_map(lambda g: _build_group(X, reference, g, config.budgets, scan_jobs), groups, config.jobs)
+    built = thread_map(lambda g: _build_group(X, reference, g, config.budgets), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
-    costs = [reference.cost]
+    costs = []
     for _, trace, _, scored in by_method.values():
         costs += [c for _, scores in scored for c in scores[:2]]
         costs += [c for t in trace or () for c in (t.gain, t.surrogate_cost, t.kmeans_cost)]
     if not np.isfinite(costs).all():
-        raise ValueError("a cost overflows float64; scale the data down")
+        raise ValueError(_OVERFLOW)
 
     results_path = out_dir / "results.csv"
     with results_path.open("w", newline="") as fh:
@@ -232,9 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--leaves", default="k,2k,3k,4k", help="comma list of budgets; '3k' scales k")
     run.add_argument("--methods", default=",".join(METHODS), help="comma list of methods")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--jobs", type=int, default=1, help="worker threads: k-means restarts, method builds and split scans"
-    )
+    run.add_argument("--jobs", type=int, default=1, help="worker threads: k-means restarts, then method builds")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--d", type=int, default=1024, help="synthetic dimensionality")
     run.add_argument("--n", type=int, default=500, help="blob dataset size")
@@ -265,7 +265,8 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 jobs=args.jobs,
             )
-            print(f"wrote {run_experiment(config)}")
+            with np.errstate(all="ignore"):  # the finite checks report an overflow, once
+                print(f"wrote {run_experiment(config)}")
             return 0
         path, label = explain_point(args.tree, [float(v) for v in args.point.split(",")])
         for feature, threshold, direction in path:

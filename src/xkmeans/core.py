@@ -10,6 +10,7 @@ no other metric is supported. `best_center` prices a cell from its
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -201,14 +202,16 @@ def accuracy(reference: Assignment, induced: Assignment) -> float:
 
 def thread_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """`fn` over `items`, in item order, on min(jobs, len(items)) threads;
-    when that is one, on the calling thread."""
+    when that is one, on the calling thread. Each task runs in a copy of the
+    caller's context, so settings kept there, such as `np.errstate`, hold."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda item: context.copy().run(fn, item), items))
 
 
 def _looks_numeric(token: str) -> bool:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats, thread_map
+from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -82,7 +82,7 @@ class ExpandResult:
         return self.trace[-1].surrogate_cost if self.trace else self.initial_surrogate
 
 
-def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float, jobs: int = 1):
+def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float):
     """Lowest-scoring threshold split of a cell, by prefix sums in sorted order.
 
     Each 64-feature block of `points` (m, d) is copied feature-major and
@@ -91,24 +91,21 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     sums to the score of cutting after each sorted point; only cuts between
     distinct values count. Each feature keeps its first cut within `tol` of
     its best, and the lowest feature within `tol` of the best of those
-    wins, at any `jobs` (at most one thread per block). Returns (score,
-    feature, threshold), or None.
+    wins. Returns (score, feature, threshold), or None.
     """
-    def scan_block(c0):
+    found = []
+    for c0 in range(0, points.shape[1], _BLOCK):
         blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
         order = np.argsort(blk, axis=1, kind="stable")
         sv = np.take_along_axis(blk, order, axis=1)
         valid = sv[:, :-1] < sv[:, 1:]
         if not valid.any():
-            return None
+            continue
         cums = [np.cumsum(row[order], axis=1)[:, :-1] for row in rows]
         tot = np.where(valid, score(cums), np.inf)
         t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
         width = np.arange(blk.shape[0])
-        return tot[width, t_star], c0 + width, sv[width, t_star]
-
-    blocks = thread_map(scan_block, range(0, points.shape[1], _BLOCK), jobs)
-    found = [b for b in blocks if b is not None]
+        found.append((tot[width, t_star], c0 + width, sv[width, t_star]))
     if not found:
         return None
     best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
@@ -116,7 +113,7 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     return float(best[i]), int(feature[i]), float(theta[i])
 
 
-def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> SplitCandidate | None:
+def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
     """Best candidate over all (feature, point-value threshold) pairs.
 
     Thresholds sit at distinct point values, excluding each feature's max so
@@ -127,8 +124,7 @@ def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> Split
     parent's center does), so an exact-equality tie-break would be at the
     mercy of summation order. A smaller gain, of either sign, is 0.0. The
     sides get no labels here: `expand` labels every cell with `best_center`.
-    Any `jobs` gives the same result. `stats` is the cell's `cell_stats`,
-    computed here when not given.
+    `stats` is the cell's `cell_stats`, computed here when not given.
     """
     points = np.asarray(points, dtype=np.float64)
     m, mean, ss = cell_stats(points) if stats is None else stats
@@ -152,7 +148,7 @@ def scan_best_split(points, M: CenterSet, stats=None, *, jobs: int = 1) -> Split
         return lbest + rbest
 
     # center-major: one contiguous row of inner products per center
-    found = prefix_scan(points, np.ascontiguousarray(P.T), side_costs, tol, jobs)
+    found = prefix_scan(points, np.ascontiguousarray(P.T), side_costs, tol)
     if found is None:
         return None
     score, feature, theta = found
@@ -197,7 +193,6 @@ def expand(
     M: CenterSet,
     base: ThresholdTree,
     k_prime: int,
-    jobs: int = 1,
     stop_condition: Callable[[TraceStep], bool] | None = None,
 ) -> ExpandResult:
     """Grow `base` to k_prime leaves by repeatedly taking the max-gain split.
@@ -230,7 +225,7 @@ def expand(
         label, leaf_cost[leaf] = best_center(stats, M)
         if tree.nodes[leaf].label is None:  # a new child, or the root of an empty tree
             tree.set_leaf_label(leaf, label)
-        cand = scan_best_split(points, M, stats, jobs=jobs) if splittable else None
+        cand = scan_best_split(points, M, stats) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)

@@ -7,13 +7,16 @@ once in a module fixture and reused by the criteria that inspect them.
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from xkmeans import core
 from xkmeans.baselines import build_gini_tree
+from xkmeans.cli import ExperimentConfig, run_experiment
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center, cell_stats, kmeans_cost, load_csv
 from xkmeans.exkmc import expand, scan_best_split
 from xkmeans.imm import build_imm
@@ -33,21 +36,17 @@ def non_increasing(values, scale):
     return all(b <= a + slack for a, b in zip(values, values[1:]))
 
 
-def trace_json(trace):
-    return "\n".join(json.dumps(asdict(step)) for step in trace)
-
-
 @pytest.fixture(scope="module")
 def blob_runs():
     """Criterion 2's workload: 50 seeded blob datasets (n=500, d=10, k=5)
-    expanded from the IMM base to 4k leaves with jobs=1."""
+    expanded from the IMM base to 4k leaves, serially."""
     runs = []
     started = time.perf_counter()
     for seed in range(50):
         X, _ = gen_gaussian_blobs(5, 500, 10, separation=3.0, seed=seed)
         ref = fit_reference(X, KMeansConfig(k=5, seed=seed))
         base = build_imm(X, ref.centers, ref.assignment)
-        result = expand(X, ref.centers, base, 4 * 5, jobs=1)
+        result = expand(X, ref.centers, base, 4 * 5)
         runs.append({"X": X, "ref": ref, "base": base, "result": result})
     elapsed = time.perf_counter() - started
     return {"runs": runs, "elapsed": elapsed}
@@ -283,14 +282,33 @@ def test_criterion_8_iris_cost_ratios():
     )
 
 
-def test_criterion_9_parallel_determinism(blob_runs):
+def test_criterion_9_parallel_determinism(blob_runs, tmp_path, monkeypatch):
+    # --jobs threads the k-means restarts and the build groups; the run's
+    # trace must be the serial fixture's, byte for byte
+    pools = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", SpyPool)
     mismatches = 0
-    for run in blob_runs["runs"]:
-        X, ref, base = run["X"], run["ref"], run["base"]
-        parallel = expand(X, ref.centers, base, 4 * 5, jobs=4)
-        if trace_json(parallel.trace) != trace_json(run["result"].trace):
+    for seed, run in enumerate(blob_runs["runs"]):
+        out = tmp_path / str(seed)
+        run_experiment(ExperimentConfig(
+            k=5, synth="blobs", synth_d=10, synth_n=500, separation=3.0, seed=seed, budgets=[20],
+            methods=["exkmc_imm", "kdtree", "gini_tree"], jobs=4, out=str(out),
+        ))
+        lines = (out / "trace_exkmc_imm_k20.jsonl").read_text().splitlines()
+        if lines != [json.dumps(asdict(step)) for step in run["result"].trace]:
             mismatches += 1
-    report(9, mismatches == 0, "jobs=1 and jobs=4 traces byte-identical on 50/50 runs")
+    report(
+        9,
+        mismatches == 0 and len(pools) == 2 * 50,
+        f"--jobs 4 traces byte-identical to serial expand on {50 - mismatches}/50 runs, "
+        f"with thread pools of {sorted(set(pools))} workers",
+    )
 
 
 def test_criterion_10_kmeans_behaviour():

@@ -173,14 +173,6 @@ class TestGiniTree:
         tree = build_gini_tree(X, ref.assignment, max_leaves=4)
         assert set(np.unique(tree.induced_assignment(X).labels)) <= set(range(4))
 
-    def test_jobs_do_not_change_the_tree(self):
-        # 129 features are three scan blocks, which 3 jobs share out
-        X, _ = gen_gaussian_blobs(3, 150, 129, separation=1.0, seed=8)
-        ref = fit_reference(X, KMeansConfig(k=3, n_init=2, seed=8))
-        serial = build_gini_tree(X, ref.assignment, max_leaves=12)
-        assert serial.leaf_count > 3
-        assert build_gini_tree(X, ref.assignment, max_leaves=12, jobs=3).to_json() == serial.to_json()
-
 
 def loop_gini_split(points, labels, n_labels):
     """Reference for `_gini_split`: one sort and one impurity scan per

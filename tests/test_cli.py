@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -282,22 +283,33 @@ def _rows_near_1e153():
 
 
 @pytest.mark.parametrize(
-    "text",
-    # the reference cost overflows; then a finite reference with an exkmc
-    # split whose costs overflow (inf cost, nan gain in its trace)
-    ["1.7e308,0\n-1.7e308,1\n0,2\n", _rows_near_1e153()],
+    "text, builds",
+    # the reference cost overflows, and no method is built; then a finite
+    # reference with an exkmc split whose costs overflow (inf cost, nan gain
+    # in its trace)
+    [("1.7e308,0\n-1.7e308,1\n0,2\n", False), (_rows_near_1e153(), True)],
     ids=["reference", "exkmc_trace"],
 )
-def test_overflowing_costs_exit_1_before_any_output(tmp_path, capsys, text):
+def test_overflowing_costs_exit_1_before_any_output(tmp_path, capsys, monkeypatch, text, builds):
+    built = []
+    for name in ("build_imm", "expand", "build_kdtree", "build_gini_tree"):
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
     data = tmp_path / "big.csv"
     data.write_text(text)
-    out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--data", str(data), "--k", "2", "--leaves", "k,2k", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "results.csv").exists()
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--data", str(data), "--k", "2", "--leaves", "k,2k", "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        # one line on stderr: no floating-point warning on any thread
+        assert capsys.readouterr().err == "error: a cost overflows float64; scale the data down\n"
+        assert [str(w.message) for w in caught] == []
+        assert not (out / "results.csv").exists()
+    assert bool(built) == builds
 
 
 BAD_BUDGETS = "leaf budgets must be at least 1 and strictly ascending"
@@ -353,8 +365,8 @@ def _rows_without_time(out_dir):
 
 
 def test_jobs_do_not_change_any_output(tmp_path):
-    # 130 features: the restarts, the exkmc scan and the gini scan all thread;
-    # the four build groups share 2 or 3 threads, or take 4 with 2 per scan at 8
+    # the restarts run on 2, 3 or 8 threads, and the four build groups share
+    # 2 or 3, or take 4 at 8; each scan runs on its group's thread
     args = ["run", "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k"]
     for jobs in ("1", "2", "3", "8"):
         assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
@@ -366,34 +378,25 @@ def test_jobs_do_not_change_any_output(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["gini_tree", "exkmc_imm", "imm"])
-def test_one_build_group_gives_its_scan_every_thread(tmp_path, monkeypatch, method):
-    scan_jobs = []
-    for name in ("expand", "build_gini_tree"):
-        def spy(*args, _real=getattr(cli, name), **kwargs):
-            scan_jobs.append(kwargs["jobs"])
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, spy)
+def test_one_build_group_does_not_depend_on_jobs(tmp_path, method):
     args = ["run", "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k", "--methods", method]
     for jobs in ("1", "3"):
         assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
-    assert scan_jobs == ([] if method == "imm" else [1, 3])
     assert _run_files(tmp_path / "3") == _run_files(tmp_path / "1")
     assert _rows_without_time(tmp_path / "3") == _rows_without_time(tmp_path / "1")
 
 
-@pytest.mark.parametrize("jobs, on_main, scan_jobs", [(1, True, 1), (2, False, 1), (8, False, 2)])
-def test_build_groups_run_on_workers_with_a_share_of_jobs(tmp_path, monkeypatch, jobs, on_main, scan_jobs):
+@pytest.mark.parametrize("jobs, on_main", [(1, True), (2, False), (8, False)])
+def test_build_groups_run_on_workers(tmp_path, monkeypatch, jobs, on_main):
     seen = set()
     for name in ("expand", "build_kdtree", "build_gini_tree"):
         def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
-            seen.add((_name, threading.current_thread() is threading.main_thread(), kwargs.get("jobs")))
+            seen.add((_name, threading.current_thread() is threading.main_thread()))
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
     config = ExperimentConfig(k=3, data=str(IRIS), budgets=[3, 6], out=str(tmp_path / "out"), jobs=jobs)
     run_experiment(config)  # four groups: imm with exkmc_imm, exkmc, kdtree, gini_tree
-    assert seen == {
-        ("expand", on_main, scan_jobs), ("build_kdtree", on_main, None), ("build_gini_tree", on_main, scan_jobs)
-    }
+    assert seen == {("expand", on_main), ("build_kdtree", on_main), ("build_gini_tree", on_main)}
 
 
 def test_error_inside_a_build_group_exits_1(tmp_path, monkeypatch, capsys):

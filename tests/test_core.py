@@ -1,3 +1,4 @@
+import ast
 import tempfile
 import threading
 import warnings
@@ -443,3 +444,19 @@ def test_only_core_makes_a_thread_pool():
     # every task that --jobs spreads over threads goes through core.thread_map
     sources = Path(core.__file__).parent.glob("*.py")
     assert sorted(p.name for p in sources if "ThreadPoolExecutor" in p.read_text()) == ["core.py"]
+
+
+def test_threads_have_one_level():
+    # thread_map runs only the restarts and the build groups, which start no
+    # threads of their own: each call's innermost enclosing function
+    callers = {}
+    for path in Path(core.__file__).parent.glob("*.py"):
+        module = ast.parse(path.read_text())
+        scopes = [module, *(n for n in ast.walk(module) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+        for scope in scopes:  # breadth first: an inner function comes after the one it is in
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and "thread_map" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers[id(node)] = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+    assert sorted(callers.values()) == ["cli.run_experiment", "kmeans.fit_reference"]

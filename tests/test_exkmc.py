@@ -1,6 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xkmeans import exkmc
-from xkmeans.baselines import build_gini_tree
 from xkmeans.core import (
     Assignment,
     CenterSet,
@@ -24,7 +21,6 @@ from xkmeans.exkmc import (
     SplitCandidate,
     _ClusterAggregates,
     expand,
-    prefix_scan,
     scan_best_split,
 )
 from xkmeans.imm import build_imm
@@ -333,13 +329,6 @@ class TestExpand:
         assert result.stop_reason == "no_split"
         assert result.tree.leaf_count == 1
 
-    def test_jobs_do_not_change_the_trace(self):
-        X, ref = self.blob_fit(9, k=4, n=100, d=5)
-        base = build_imm(X, ref.centers, ref.assignment)
-        r1 = expand(X, ref.centers, base, 16, jobs=1)
-        r4 = expand(X, ref.centers, base, 16, jobs=4)
-        assert r1.trace == r4.trace
-
 
 def test_zero_gain_plateau_is_split_in_leaf_id_order():
     # every IMM leaf of well-separated blobs is pure, so every later split
@@ -513,7 +502,7 @@ def test_full_budget_reproduces_the_reference_under_a_shared_offset(offset):
         assert np.array_equal(result.tree.induced_assignment(X).labels, ref.assignment.labels)
 
 
-def klast_best_split(points, M, *, jobs=1):
+def klast_best_split(points, M):
     """Reference for `scan_best_split`: the same scan with the k centers as
     the last axis of each (points x block x k) array, reduced over that axis."""
     points = np.asarray(points, dtype=np.float64)
@@ -530,34 +519,24 @@ def klast_best_split(points, M, *, jobs=1):
     order = np.argsort(points, axis=0, kind="stable")
     counts = np.arange(1, m, dtype=np.float64)[:, None, None]
 
-    def scan_range(f0, f1):
-        entries = []
-        for c0 in range(f0, f1, _BLOCK):
-            cols = np.arange(c0, min(c0 + _BLOCK, f1))
-            ord_blk = order[:, cols]
-            sv = np.take_along_axis(points[:, cols], ord_blk, axis=0)
-            valid = sv[:-1] < sv[1:]
-            if not valid.any():
-                continue
-            cum = np.cumsum(P[ord_blk], axis=0)[:-1]
-            lbest = (-2.0 * cum + counts * m2).min(axis=2)
-            rbest = (-2.0 * (s_tot - cum) + (m - counts) * m2).min(axis=2)
-            tot = np.where(valid, lbest + rbest, np.inf)
-            s_min = tot.min(axis=0)
-            t_star = (tot <= s_min + tol).argmax(axis=0)
-            width = np.arange(cols.size)
-            s_star = tot[t_star, width]
-            for w in np.flatnonzero(np.isfinite(s_star)):
-                entries.append((float(s_star[w]), int(cols[w]), float(sv[int(t_star[w]), w])))
-        return entries
-
-    if jobs <= 1:
-        found = scan_range(0, d)
-    else:
-        edges = np.linspace(0, d, jobs + 1).astype(int)  # jobs contiguous feature ranges
-        ranges = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = [e for chunk in pool.map(lambda r: scan_range(*r), ranges) for e in chunk]
+    found = []
+    for c0 in range(0, d, _BLOCK):
+        cols = np.arange(c0, min(c0 + _BLOCK, d))
+        ord_blk = order[:, cols]
+        sv = np.take_along_axis(points[:, cols], ord_blk, axis=0)
+        valid = sv[:-1] < sv[1:]
+        if not valid.any():
+            continue
+        cum = np.cumsum(P[ord_blk], axis=0)[:-1]
+        lbest = (-2.0 * cum + counts * m2).min(axis=2)
+        rbest = (-2.0 * (s_tot - cum) + (m - counts) * m2).min(axis=2)
+        tot = np.where(valid, lbest + rbest, np.inf)
+        s_min = tot.min(axis=0)
+        t_star = (tot <= s_min + tol).argmax(axis=0)
+        width = np.arange(cols.size)
+        s_star = tot[t_star, width]
+        for w in np.flatnonzero(np.isfinite(s_star)):
+            found.append((float(s_star[w]), int(cols[w]), float(sv[int(t_star[w]), w])))
     if not found:
         return None
     cutoff = min(e[0] for e in found) + tol
@@ -596,8 +575,7 @@ def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
-    for jobs in (1, 2):
-        assert_same_split(scan_best_split(pts, M, cell_stats(pts), jobs=jobs), klast_best_split(pts, M, jobs=jobs))
+    assert_same_split(scan_best_split(pts, M, cell_stats(pts)), klast_best_split(pts, M))
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -608,24 +586,7 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
     pts = X.points[:, :d]
     # with and without the two anchors, one cluster, and a 30-point cell
     for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
-        for jobs in (1, 2):
-            assert_same_split(scan_best_split(cell, M, cell_stats(cell), jobs=jobs), klast_best_split(cell, M, jobs=jobs))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10**6))
-def test_shared_scan_does_not_depend_on_jobs(n, r, seed):
-    # 129 features are three scan blocks, which 2 and 3 jobs share out
-    # differently; the tolerance makes near-ties across blocks matter
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(-2, 3, size=(n, 129)).astype(float)
-    rows = rng.integers(0, 4, size=(r, n)).astype(float)
-    want = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5)
-    M = CenterSet(rng.integers(-2, 3, size=(r, 129)).astype(float))
-    for jobs in (2, 3):
-        got = prefix_scan(pts, rows, lambda cums: reduce(np.minimum, cums), 1.5, jobs)
-        assert got == want
-        assert scan_best_split(pts, M, cell_stats(pts), jobs=jobs) == scan_best_split(pts, M, cell_stats(pts))
+        assert_same_split(scan_best_split(cell, M, cell_stats(cell)), klast_best_split(cell, M))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -658,19 +619,3 @@ def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
         assert agg.count.tolist() == np.bincount(labels, minlength=k).tolist()
         assert agg.cost() == pytest.approx(kmeans_cost(X, Assignment(labels)), rel=1e-8)
     assert emptied > 0
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-@pytest.mark.parametrize(
-    "scan",
-    [
-        lambda jobs: expand(FOUR_POINTS, TWO_CENTERS, ThresholdTree(), 2, jobs=jobs),
-        lambda jobs: scan_best_split(FOUR_POINTS.points, TWO_CENTERS, cell_stats(FOUR_POINTS.points), jobs=jobs),
-        lambda jobs: build_gini_tree(FOUR_POINTS, Assignment([0, 0, 1, 1]), 2, jobs=jobs),
-        lambda jobs: prefix_scan(FOUR_POINTS.points, np.ones((1, 4)), lambda cums: cums[0], 0.0, jobs),
-    ],
-    ids=["expand", "scan_best_split", "build_gini_tree", "prefix_scan"],
-)
-def test_jobs_below_one_rejected_by_every_scan(scan, jobs):
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        scan(jobs)
