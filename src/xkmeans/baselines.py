@@ -67,17 +67,16 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     if present.size <= 1:
         return None
     parent = m * _gini_of_counts(total_counts, m)
-    n_left = np.arange(1, m, dtype=np.float64)
-    n_right = m - n_left
 
-    def negative_decrease(cums):
+    def negative_decrease(cums, n_left):
         # integer label counts: the sums of squares are exact in any order
+        n_right = m - n_left
         left = reduce(np.add, (c * c for c in cums))
         right = reduce(np.add, ((t - c) * (t - c) for t, c in zip(total_counts[present], cums)))
         return -(parent - (n_left - left / n_left) - (n_right - right / n_right))
 
-    # one row of label indicators per label in the cell; absent labels add 0
-    rows = (labels == present[:, None]).astype(np.float64)
+    # one boolean row per label in the cell, cumsummed as integer counts
+    rows = labels == present[:, None]
     found = prefix_scan(points, rows, negative_decrease, 0.0)
     return None if found is None else (-found[0], found[1], found[2])
 

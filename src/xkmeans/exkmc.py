@@ -20,9 +20,15 @@ sorted feature order. x and mu are measured from the cell's mean: then
 every term is the size of the cell's spread, not of its distance from the
 origin, as in the parallel-axis pricing of `core.best_center`.
 One sort per feature plus an O(k) update per threshold gives
-O(d k n + d n log n) per scanned leaf. The scan runs center-major: for a
-block of features, each center's products are cumsummed in sorted order as
-one (block, n) array, and the k centers are folded with an elementwise min.
+O(d k n + d n log n) per scanned leaf. The scan runs center-major on
+blocks of 64 features and scores only the cuts a split can take, one at
+each boundary between two distinct values of a feature: each center's
+products are cumsummed in sorted order as one (block, n) array, read at
+those cuts, and the k centers are folded with an elementwise min. A
+feature of two distinct values thus costs one score, not n - 1. A block is
+argsorted stably, so that ties keep input order, unless each of its
+features holds n distinct values; then numpy's default sort gives the
+same, only order.
 That search, `prefix_scan`, is also the gini baseline's, on label counts.
 """
 
@@ -86,26 +92,37 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     """Lowest-scoring threshold split of a cell, by prefix sums in sorted order.
 
     Each 64-feature block of `points` (m, d) is copied feature-major and
-    stably sorted, and the r per-point statistics `rows` (r, m) are
-    cumsummed in that order. `score(cums)` maps the r (width, m - 1) prefix
-    sums to the score of cutting after each sorted point; only cuts between
-    distinct values count. Each feature keeps its first cut within `tol` of
-    its best, and the lowest feature within `tol` of the best of those
-    wins. Returns (score, feature, threshold), or None.
+    sorted. A block whose features each hold m distinct values is argsorted
+    with numpy's default kind, since its one sorted order is the stable
+    one; any other block is argsorted stably, so ties keep input order.
+    Only the cuts between distinct values are scored: the r per-point
+    statistics `rows` (r, m) are cumsummed in sorted order up to the
+    block's last such cut, and `score(cums, left)` maps the r prefix sums
+    at the cuts, with `left` points left of each cut, to each cut's score.
+    Each feature keeps its first cut within `tol` of its best, or its first
+    cut when none is (a NaN score, only from an overflowing cell), and the
+    lowest feature within `tol` of the best of those wins. Returns (score,
+    feature, threshold), or None.
     """
     found = []
     for c0 in range(0, points.shape[1], _BLOCK):
         blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
-        order = np.argsort(blk, axis=1, kind="stable")
-        sv = np.take_along_axis(blk, order, axis=1)
+        sv = np.sort(blk, axis=1)
         valid = sv[:, :-1] < sv[:, 1:]
-        if not valid.any():
+        feat, cut = np.nonzero(valid)  # feature-major: each feature's cuts are one run
+        if feat.size == 0:
             continue
-        cums = [np.cumsum(row[order], axis=1)[:, :-1] for row in rows]
-        tot = np.where(valid, score(cums), np.inf)
-        t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
-        width = np.arange(blk.shape[0])
-        found.append((tot[width, t_star], c0 + width, sv[width, t_star]))
+        order = np.argsort(blk, axis=1, kind=None if valid.all() else "stable")[:, : cut.max() + 1]
+        cums = [np.cumsum(row[order], axis=1)[feat, cut] for row in rows]
+        tot = score(cums, cut + 1.0)
+        runs = valid.sum(axis=1)
+        runs = runs[runs > 0]  # cuts of each feature that has any
+        starts = np.cumsum(runs) - runs
+        near = tot <= np.repeat(np.minimum.reduceat(tot, starts), runs) + tol
+        first = np.minimum.reduceat(np.where(near, np.arange(feat.size), feat.size), starts)
+        t_star = np.where(first < feat.size, first, starts)  # first near-tie
+        f = feat[t_star]  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
+        found.append((tot[t_star], c0 + f, blk[f, order[f, cut[t_star]]]))
     if not found:
         return None
     best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
@@ -138,13 +155,12 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
     sumsq = float(ss.sum())
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
-    counts = np.arange(1, m, dtype=np.float64)
-    lm2, rm2 = np.outer(m2, counts), np.outer(m2, m - counts)  # (k, m - 1) side size terms
 
-    def side_costs(cums):
-        # one (width, m - 1) block per center, folded with np.minimum
-        lbest = reduce(np.minimum, (-2.0 * c + lm2[j] for j, c in enumerate(cums)))
-        rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + rm2[j] for j, c in enumerate(cums)))
+    def side_costs(cums, left):
+        # one array over the block's cuts per center, folded with np.minimum
+        right = m - left
+        lbest = reduce(np.minimum, (-2.0 * c + m2[j] * left for j, c in enumerate(cums)))
+        rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + m2[j] * right for j, c in enumerate(cums)))
         return lbest + rbest
 
     # center-major: one contiguous row of inner products per center

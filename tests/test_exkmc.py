@@ -1,11 +1,13 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xkmeans import exkmc
+from xkmeans import baselines, exkmc
+from xkmeans.baselines import _gini_split
 from xkmeans.core import (
     Assignment,
     CenterSet,
@@ -21,6 +23,7 @@ from xkmeans.exkmc import (
     SplitCandidate,
     _ClusterAggregates,
     expand,
+    prefix_scan,
     scan_best_split,
 )
 from xkmeans.imm import build_imm
@@ -619,3 +622,114 @@ def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
         assert agg.count.tolist() == np.bincount(labels, minlength=k).tolist()
         assert agg.cost() == pytest.approx(kmeans_cost(X, Assignment(labels)), rel=1e-8)
     assert emptied > 0
+
+
+def dense_prefix_scan(points, rows, score, tol):
+    """Reference for `prefix_scan`: every sorted position of every feature is
+    scored, positions inside a tie are masked to inf, and each threshold is
+    read from the stably sorted values."""
+    left = np.arange(1, points.shape[0], dtype=np.float64)
+    found = []
+    for c0 in range(0, points.shape[1], _BLOCK):
+        blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
+        order = np.argsort(blk, axis=1, kind="stable")
+        sv = np.take_along_axis(blk, order, axis=1)
+        valid = sv[:, :-1] < sv[:, 1:]
+        if not valid.any():
+            continue
+        cums = [np.cumsum(row[order], axis=1)[:, :-1] for row in rows]
+        tot = np.where(valid, score(cums, left), np.inf)
+        t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
+        width = np.arange(blk.shape[0])
+        found.append((tot[width, t_star], c0 + width, sv[width, t_star]))
+    if not found:
+        return None
+    best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
+    i = int(np.argmax(best <= best.min() + tol))
+    return float(best[i]), int(feature[i]), float(theta[i])
+
+
+def both_scans(pts, M, labels, n_labels):
+    """The exkmc and gini splits of a cell, by `prefix_scan` and by the dense oracle."""
+    got = (scan_best_split(pts, M), _gini_split(pts, labels, n_labels))
+    with mock.patch.object(exkmc, "prefix_scan", dense_prefix_scan), mock.patch.object(
+        baselines, "prefix_scan", dense_prefix_scan
+    ):
+        want = (scan_best_split(pts, M), _gini_split(pts, labels, n_labels))
+    return got, want
+
+
+def scan_cell(kind, n, d, offset, rng):
+    if kind == "grid":
+        return rng.integers(-2, 3, size=(n, d)) + offset
+    if kind == "binary":
+        return rng.integers(0, 2, size=(n, d)) + offset
+    if kind == "signed_zero":  # an offset would turn -0.0 into 0.0
+        return rng.choice([-0.0, 0.0, 1.0], size=(n, d))
+    pts = rng.normal(size=(n, d)) + offset
+    if kind == "mixed":  # tied and untied features in one block
+        tied = rng.random(d) < 0.5
+        pts[:, tied] = rng.integers(0, 2, size=(n, int(tied.sum()))) + offset
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["grid", "binary", "signed_zero", "normal", "mixed"]),
+    st.sampled_from([1, 63, 64, 65, 130]),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(0, 10**6),
+)
+def test_scan_of_valid_cuts_matches_the_dense_scan(kind, d, n, k, offset, seed):
+    # scoring only the cuts between distinct values, and argsorting a block
+    # of distinct values with the default kind, changes no bit of either
+    # builder's split, the sign of a zero threshold included
+    rng = np.random.default_rng(seed)
+    pts = scan_cell(kind, n, d, offset, rng)
+    M = CenterSet(rng.normal(size=(k, d)) + offset)
+    labels = rng.integers(0, k + 1, size=n)
+    got, want = both_scans(pts, M, labels, k + 1)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("zeros, sign", [([0.0, -0.0], "-"), ([-0.0, 0.0], "")])
+def test_threshold_is_the_last_tied_value_in_input_order(zeros, sign):
+    # -0.0 == 0.0, so a stable sort keeps their input order; np.sort may not
+    pts = np.array([[zeros[0]], [zeros[1]], [1.0], [1.0]])
+    M = CenterSet([[0.0], [1.0]])
+    got, want = both_scans(pts, M, np.array([0, 0, 1, 1]), 2)
+    assert repr(got) == repr(want)
+    assert repr(got[0].threshold) == repr(got[1][2]) == sign + "0.0"
+
+
+def test_scan_scores_exactly_the_distinct_value_boundaries():
+    # a 0/1 cell has one cut per feature, a cell of distinct values m - 1
+    binary = gen_synthetic_i(seed=0, n=300, d=130).points
+    distinct = np.random.default_rng(0).normal(size=(50, 130))
+    for pts, per_feature in ((binary, 1), (distinct, 49)):
+        scored = []
+
+        def spy(cums, left):
+            assert all(c.shape == left.shape for c in cums)
+            scored.append(left.copy())
+            return np.zeros(left.size)
+
+        prefix_scan(pts, np.ones((1, pts.shape[0])), spy, 0.0)
+        boundaries = [np.cumsum(np.unique(col, return_counts=True)[1])[:-1] for col in pts.T]
+        assert np.concatenate(scored).tolist() == np.concatenate(boundaries).tolist()
+        assert sum(s.size for s in scored) == per_feature * pts.shape[1]
+
+
+def test_a_nan_score_takes_the_features_first_valid_cut():
+    # only an overflowing cell scores NaN; then no cut is within tol of the
+    # feature's minimum, and the cut taken is the first between distinct
+    # values, not sorted position 0 inside the leading tie of 0.0 and -0.0
+    pts = np.array([[0.0], [-0.0], [1.0], [2.0]])
+
+    def score(cums, left):
+        return np.where(left == 3.0, np.nan, -left)
+
+    assert repr(prefix_scan(pts, np.ones((1, 4)), score, 0.0)) == repr((-2.0, 0, -0.0))
+
