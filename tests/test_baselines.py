@@ -222,6 +222,58 @@ def test_gini_split_matches_per_feature_loop_on_tie_heavy_grids(d, n, n_labels, 
     assert _gini_split(pts, labels, n_labels) == loop_gini_split(pts, labels, n_labels)
 
 
+def naive_gini_tree(X, labels, max_leaves):
+    """Reference for `build_gini_tree`, with no heap and no cached state: at
+    every step route X through the tree afresh and split the leaf whose
+    `loop_gini_split` decrease is largest (ties: lowest leaf id). Each leaf
+    is labeled with its majority reference label, the lowest on ties."""
+    n_labels = int(labels.max()) + 1
+
+    def majority(ids):
+        return int(np.argmax(np.bincount(labels[ids], minlength=n_labels)))
+
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, majority(np.arange(X.n)))
+    while tree.leaf_count < max_leaves:
+        cells = tree.cells(X)
+        splits = {leaf: loop_gini_split(X.points[ids], labels[ids], n_labels) for leaf, ids in cells.items()}
+        splits = {leaf: split for leaf, split in splits.items() if split is not None}
+        if not splits:
+            break
+        leaf = min(splits, key=lambda leaf: (-splits[leaf][0], leaf))
+        _, feature, theta = splits[leaf]
+        children = tree.split_leaf(leaf, feature, theta)
+        cells = tree.cells(X)
+        for child in children:
+            tree.set_leaf_label(child, majority(cells[child]))
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_gini_tree_matches_naive_whole_build(n, d, n_labels, grid, duplicates, offset, seed, data):
+    # integer grids tie decreases across features and leaves exactly; repeated
+    # rows with mixed labels leave impure cells that cannot split
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
+    if duplicates:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    X = DataMatrix(pts + offset)
+    labels = rng.integers(0, n_labels, size=n)
+    max_leaves = data.draw(st.integers(1, n))
+    got = build_gini_tree(X, Assignment(labels), max_leaves)
+    assert got.to_json() == naive_gini_tree(X, labels, max_leaves).to_json()
+
+
 @pytest.mark.parametrize(
     "points, labels",
     [

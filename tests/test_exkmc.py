@@ -733,3 +733,80 @@ def test_a_nan_score_takes_the_features_first_valid_cut():
 
     assert repr(prefix_scan(pts, np.ones((1, 4)), score, 0.0)) == repr((-2.0, 0, -0.0))
 
+
+def naive_expand(X, M, base, k_prime):
+    """Reference for `expand`, with no heap and no cached state: at every
+    step route X through the tree afresh, find each leaf's split with
+    `naive_best_split` and split the leaf of largest gain. A gain within
+    1e-9 relative of its leaf's cost is 0, and gains within 1e-9 relative of
+    the largest are tied and go to the lowest leaf id. Each new leaf is
+    labeled `best_center(cell_stats(cell), M)`. Returns the tree and the
+    surrogate cost after each step, summed directly."""
+    tree = base.copy()
+    if tree.leaf_count == 1 and tree.nodes[tree.root].label is None:
+        tree.set_leaf_label(tree.root, best_center(cell_stats(X.points), M)[0])
+
+    def cost(ids):
+        return min(float(((X.points[ids] - c) ** 2).sum()) for c in M.centers)
+
+    costs = []
+    while tree.leaf_count < k_prime:
+        cells = tree.cells(X)
+        gains = {}
+        for leaf, ids in cells.items():
+            split = naive_best_split(X.points[ids], M.centers)
+            if split is not None:
+                pre = cost(ids)
+                gain = pre - split[0]
+                gains[leaf] = (0.0 if abs(gain) < 1e-9 * max(1.0, pre) else gain, split)
+        if not gains:
+            break
+        top = max(gain for gain, _ in gains.values())
+        leaf = min(leaf for leaf, (gain, _) in gains.items() if gain >= top - 1e-9 * max(1.0, top))
+        _, feature, theta, _, _ = gains[leaf][1]
+        children = tree.split_leaf(leaf, feature, theta)
+        cells = tree.cells(X)
+        for child in children:
+            tree.set_leaf_label(child, best_center(cell_stats(X.points[cells[child]]), M)[0])
+        costs.append(sum(cost(ids) for ids in cells.values()))
+    return tree, costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_expand_matches_naive_whole_build(n, d, k, grid, duplicates, imm_base, offset, seed, data):
+    # integer grids and repeated rows tie splits and leave cells
+    # unsplittable; an IMM base starts from k labeled leaves, some of them
+    # possibly empty, and a lone root is labeled by expand itself
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
+    if duplicates:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    X = DataMatrix(pts + offset)
+    M = CenterSet(rng.normal(size=(k, d)) + offset)
+    if imm_base:
+        nearest = ((X.points[:, None, :] - M.centers[None]) ** 2).sum(axis=2).argmin(axis=1)
+        base = build_imm(X, M, Assignment(nearest))
+    else:
+        base = ThresholdTree()
+    k_prime = data.draw(st.integers(base.leaf_count, max(n, base.leaf_count)))
+    result = expand(X, M, base, k_prime)
+    tree, costs = naive_expand(X, M, base, k_prime)
+    assert result.tree.to_json() == tree.to_json()
+    assert [step.surrogate_cost for step in result.trace] == pytest.approx(costs, rel=1e-9, abs=1e-9)
+    # the running k-means cost merges cluster means taken at the offset, so
+    # there it drifts from the two-pass cost by up to about 6e-9 relative
+    rel = 1e-9 if offset == 0.0 else 1e-8
+    for step in result.trace:
+        km = kmeans_cost(X, result.tree.prefix(base.leaf_count + step.step).induced_assignment(X))
+        assert step.kmeans_cost == pytest.approx(km, rel=rel, abs=rel)
