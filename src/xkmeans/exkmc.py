@@ -109,20 +109,22 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
         blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
         sv = np.sort(blk, axis=1)
         valid = sv[:, :-1] < sv[:, 1:]
-        feat, cut = np.nonzero(valid)  # feature-major: each feature's cuts are one run
-        if feat.size == 0:
+        ends = np.flatnonzero(valid.any(axis=0))
+        if ends.size == 0:
             continue
-        order = np.argsort(blk, axis=1, kind=None if valid.all() else "stable")[:, : cut.max() + 1]
-        cums = [np.cumsum(row[order], axis=1)[feat, cut] for row in rows]
-        tot = score(cums, cut + 1.0)
+        last = ends[-1] + 1  # every cut of the block lies before sorted position `last`
+        at = np.flatnonzero(valid[:, :last])  # each cut's place in a (width, last) array, feature-major
+        order = np.argsort(blk, axis=1, kind=None if valid.all() else "stable")[:, :last]
+        cums = [np.cumsum(row[order], axis=1).ravel()[at] for row in rows]
+        tot = score(cums, at % last + 1.0)
         runs = valid.sum(axis=1)
         runs = runs[runs > 0]  # cuts of each feature that has any
         starts = np.cumsum(runs) - runs
         near = tot <= np.repeat(np.minimum.reduceat(tot, starts), runs) + tol
-        first = np.minimum.reduceat(np.where(near, np.arange(feat.size), feat.size), starts)
-        t_star = np.where(first < feat.size, first, starts)  # first near-tie
-        f = feat[t_star]  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
-        found.append((tot[t_star], c0 + f, blk[f, order[f, cut[t_star]]]))
+        first = np.minimum.reduceat(np.where(near, np.arange(at.size), at.size), starts)
+        t_star = np.where(first < at.size, first, starts)  # first near-tie
+        f, t = np.divmod(at[t_star], last)  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
+        found.append((tot[t_star], c0 + f, blk[f, order[f, t]]))
     if not found:
         return None
     best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
