@@ -25,10 +25,8 @@ blocks of 64 features and scores only the cuts a split can take, one at
 each boundary between two distinct values of a feature: each center's
 products are cumsummed in sorted order as one (block, n) array, read at
 those cuts, and the k centers are folded with an elementwise min. A
-feature of two distinct values thus costs one score, not n - 1. A block is
-argsorted stably, so that ties keep input order, unless each of its
-features holds n distinct values; then numpy's default sort gives the
-same, only order.
+feature of two distinct values thus costs one score, not n - 1. Each
+block is argsorted stably, so that ties keep input order.
 That search, `prefix_scan`, is also the gini baseline's, on label counts.
 """
 
@@ -91,18 +89,16 @@ class ExpandResult:
 def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float):
     """Lowest-scoring threshold split of a cell, by prefix sums in sorted order.
 
-    Each 64-feature block of `points` (m, d) is copied feature-major and
-    sorted. A block whose features each hold m distinct values is argsorted
-    with numpy's default kind, since its one sorted order is the stable
-    one; any other block is argsorted stably, so ties keep input order.
-    Only the cuts between distinct values are scored: the r per-point
-    statistics `rows` (r, m) are cumsummed in sorted order up to the
-    block's last such cut, and `score(cums, left)` maps the r prefix sums
-    at the cuts, with `left` points left of each cut, to each cut's score.
-    Each feature keeps its first cut within `tol` of its best, or its first
-    cut when none is (a NaN score, only from an overflowing cell), and the
-    lowest feature within `tol` of the best of those wins. Returns (score,
-    feature, threshold), or None.
+    Each 64-feature block of `points` (m, d) is copied feature-major,
+    sorted, and argsorted stably, so ties keep input order. Only the cuts
+    between distinct values are scored: the r per-point statistics `rows`
+    (r, m) are cumsummed in sorted order up to the block's last such cut,
+    and `score(cums, left)` maps the r prefix sums at the cuts, with `left`
+    points left of each cut, to each cut's score. Each feature keeps its
+    first cut within `tol` of its best, or its first cut when none is (a
+    NaN score, only from an overflowing cell), and the lowest feature
+    within `tol` of the best of those wins. Returns (score, feature,
+    threshold), or None.
     """
     found = []
     for c0 in range(0, points.shape[1], _BLOCK):
@@ -114,7 +110,7 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
             continue
         last = ends[-1] + 1  # every cut of the block lies before sorted position `last`
         at = np.flatnonzero(valid[:, :last])  # each cut's place in a (width, last) array, feature-major
-        order = np.argsort(blk, axis=1, kind=None if valid.all() else "stable")[:, :last]
+        order = np.argsort(blk, axis=1, kind="stable")[:, :last]
         cums = [np.cumsum(row[order], axis=1).ravel()[at] for row in rows]
         tot = score(cums, at % last + 1.0)
         runs = valid.sum(axis=1)

@@ -683,9 +683,8 @@ def scan_cell(kind, n, d, offset, rng):
     st.integers(0, 10**6),
 )
 def test_scan_of_valid_cuts_matches_the_dense_scan(kind, d, n, k, offset, seed):
-    # scoring only the cuts between distinct values, and argsorting a block
-    # of distinct values with the default kind, changes no bit of either
-    # builder's split, the sign of a zero threshold included
+    # scoring only the cuts between distinct values changes no bit of
+    # either builder's split, the sign of a zero threshold included
     rng = np.random.default_rng(seed)
     pts = scan_cell(kind, n, d, offset, rng)
     M = CenterSet(rng.normal(size=(k, d)) + offset)
