@@ -285,7 +285,8 @@ def _load_rows(path: Path, columns) -> np.ndarray:
         else:
             dropped.append(c)
     if dropped:
-        names = [header[c] if header else str(c) for c in dropped]
+        # a header narrower than the rows has no name for the last columns
+        names = [header[c] if c < len(header or ()) else str(c) for c in dropped]
         warnings.warn(f"dropping non-numeric columns: {', '.join(names)}")
     if not numeric:
         raise ValueError(f"{path} has no numeric columns to load")

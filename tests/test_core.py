@@ -381,6 +381,7 @@ EDGE_FILES = {
     "empty": ("", None, False),
     "blank_only": ("\n\n", None, False),
     "header_wider_than_data": ("a,b,c\n1,2\n3,4\n", None, True),
+    "header_narrower_than_data": ("a,b\n1,2,x\n3,4,y\n", None, False),
     "ragged_longer_row": ("1,2\n3,4,5\n", None, False),
     "ragged_shorter_row": ("1,2,3\n4,5\n", [0, 1], False),
     "column_out_of_range": ("1,2\n3,4\n", [5], False),
