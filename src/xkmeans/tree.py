@@ -8,7 +8,8 @@ label each new leaf by the builder's own rule, with `set_leaf_label`
 (`split_leaf` makes unlabeled children), and to propose its split. It
 splits best-first, popping a heap keyed on (-priority, leaf id); leaf ids
 only grow, so among equal priorities the oldest leaf goes first. Any tree,
-built, cut or loaded, gives the cells of a dataset with `cells`.
+built, cut or loaded, gives the cells of a dataset with `cells`, in one
+pass over its nodes in growth order (below).
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable list indices (the root is always node 0) and are never reused;
@@ -16,6 +17,8 @@ splitting mutates a leaf into an inner node and appends two children, so the
 greedy construction order is preserved in the node list: the tree after its
 first b - 1 splits is the first 2b - 1 nodes. An inner node keeps the label
 it had as a leaf, so such a prefix is read off without relabeling (`prefix`).
+Every tree is in this growth order: each inner node's children are two
+consecutive nodes after it, and `from_json` rejects a tree that is not.
 """
 
 from __future__ import annotations
@@ -121,16 +124,11 @@ class ThresholdTree:
         return (len(self.nodes) + 1) // 2
 
     def depth(self) -> int:
-        deepest = 0
-        stack = [(self.root, 0)]
-        while stack:
-            i, depth = stack.pop()
-            node = self.nodes[i]
-            if node.is_leaf:
-                deepest = max(deepest, depth)
-            else:
-                stack += [(node.left, depth + 1), (node.right, depth + 1)]
-        return deepest
+        depth = [0] * len(self.nodes)
+        for i, node in enumerate(self.nodes):  # every parent comes before its children
+            if not node.is_leaf:
+                depth[node.left] = depth[node.right] = depth[i] + 1
+        return max(depth)
 
     def set_leaf_label(self, leaf_id: int, label: int) -> None:
         node = self.nodes[leaf_id]
@@ -195,16 +193,10 @@ class ThresholdTree:
         """Ascending ids of the rows of X in each leaf, keyed by leaf id in
         ascending order (vectorized routing)."""
         self._check_dim(X.d)
-        cells = {}
-        stack = [(self.root, np.arange(X.n))]
-        while stack:
-            node_id, ids = stack.pop()
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                cells[node_id] = ids
-                continue
-            left, right = split_cell(X, ids, node.feature, node.threshold)
-            stack += [(node.left, left), (node.right, right)]
+        cells = {self.root: np.arange(X.n)}
+        for i, node in enumerate(self.nodes):  # every parent comes before its children
+            if not node.is_leaf:
+                cells[node.left], cells[node.right] = split_cell(X, cells.pop(i), node.feature, node.threshold)
         return dict(sorted(cells.items()))
 
     def induced_assignment(self, X: DataMatrix, cells: dict | None = None) -> Assignment:
@@ -267,10 +259,12 @@ class ThresholdTree:
     def from_json(cls, text: str) -> "ThresholdTree":
         """Load a tree written by `to_json`.
 
-        Raises ValueError unless every node is reachable from node 0 exactly
-        once, every feature and child index is an in-range integer, every
-        threshold is a finite number, and every label is an integer (or null,
-        for an unlabeled leaf).
+        Raises ValueError unless the nodes are in growth order, as
+        `split_leaf` appends them: every inner node's children are two
+        consecutive nodes after it, and every node but node 0 is the child
+        of exactly one node. Every feature and child index must be an
+        integer, every threshold a finite number, and every label an integer
+        (or null, for an unlabeled leaf).
         """
         payload = json.loads(text)
         raw = payload.get("nodes") if isinstance(payload, dict) else None
@@ -294,24 +288,13 @@ class ThresholdTree:
                     )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"tree JSON node {i} is malformed: {exc!r}") from None
+            if not node.is_leaf and not i < node.left == node.right - 1:
+                raise ValueError(f"tree JSON node {i}'s children are not two consecutive later ones")
             tree.nodes.append(node)
-
-        seen = [False] * len(tree.nodes)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            node = tree.nodes[stack.pop()]
-            if node.is_leaf:
-                continue
-            for child in (node.left, node.right):
-                if child >= len(tree.nodes) or seen[child]:
-                    raise ValueError(
-                        f"tree JSON child {child} is out of range or reached twice"
-                    )
-                seen[child] = True
-                stack.append(child)
-        if not all(seen):
-            raise ValueError(f"tree JSON node {seen.index(False)} is unreachable from node 0")
+        # so each node but the root has one parent, before it: all are reachable
+        children = sorted(c for n in tree.nodes if not n.is_leaf for c in (n.left, n.right))
+        if children != list(range(1, len(tree.nodes))):
+            raise ValueError("tree JSON children are not nodes 1 to the last, each once")
         return tree
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xkmeans.core import DataMatrix
 from xkmeans.synth import gen_gaussian_blobs
@@ -299,6 +301,15 @@ def test_from_json_rejects_empty_node_list():
 
 SPLIT = {"feature": 0, "threshold": 0.5, "left": 1, "right": 2}
 LEAVES = [{"label": 0}, {"label": 1}]
+# every node reachable once, but node 0's children are not consecutive, so
+# the first 3 nodes are not the tree after its first split
+OUT_OF_GROWTH_ORDER = [
+    {**SPLIT, "right": 3},
+    {"feature": 0, "threshold": 0.2, "left": 2, "right": 4},
+    {"label": 0},
+    {"label": 1},
+    {"label": 0},
+]
 
 
 @pytest.mark.parametrize(
@@ -312,13 +323,63 @@ LEAVES = [{"label": 0}, {"label": 1}]
         [SPLIT, {"label": "a"}, {"label": 1}],
         [{**SPLIT, "threshold": float("nan")}, *LEAVES],
         [{**SPLIT, "threshold": True}, *LEAVES],
+        OUT_OF_GROWTH_ORDER,
     ],
     ids=["child_out_of_range", "missing_left", "cycle", "unreachable",
-         "float_label", "string_label", "nan_threshold", "bool_threshold"],
+         "float_label", "string_label", "nan_threshold", "bool_threshold",
+         "out_of_growth_order"],
 )
 def test_from_json_rejects_malformed_trees(nodes):
     with pytest.raises(ValueError):
         ThresholdTree.from_json(json.dumps({"nodes": nodes}))
+
+
+def in_growth_order(nodes):
+    return all(i < n["left"] == n["right"] - 1 for i, n in enumerate(nodes) if "left" in n)
+
+
+def assert_prefixes_route(tree, X):
+    """Every prefix of `tree` puts each row of X in exactly one of its leaves."""
+    for b in range(1, tree.leaf_count + 1):
+        cut = tree.prefix(b)
+        cells = cut.cells(X)
+        assert list(cells) == cut.leaf_ids()
+        assert np.sort(np.concatenate(list(cells.values()))).tolist() == list(range(X.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.data())
+def test_growth_order_is_kept_through_json_and_checked_on_load(n, seed, data):
+    # a tree grown by split_leaf round-trips, and each of its prefixes routes
+    # every row into exactly one leaf; renumbering its nodes so that some
+    # children are no longer the two nodes appended after their parent keeps
+    # every node reachable once, yet the load is refused
+    rng = np.random.default_rng(seed)
+    X = DataMatrix(rng.integers(-2, 3, size=(n, 3)).astype(float))
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, 0)
+    for _ in range(data.draw(st.integers(0, 10))):
+        leaf = data.draw(st.sampled_from(tree.leaf_ids()))
+        split(tree, leaf, data.draw(st.integers(0, 2)), data.draw(st.sampled_from([-1.5, -0.5, 0.5, 1.5])),
+              data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+    loaded = ThresholdTree.from_json(tree.to_json())
+    assert loaded.to_json() == tree.to_json()
+    assert_prefixes_route(loaded, X)
+
+    nodes = json.loads(tree.to_json())["nodes"]
+    order = [0, *data.draw(st.permutations(range(1, len(nodes))))]  # old id -> new id
+    renumbered = [None] * len(nodes)
+    for old, node in enumerate(nodes):
+        if "left" in node:
+            node = {**node, "left": order[node["left"]], "right": order[node["right"]]}
+        renumbered[order[old]] = node
+    text = json.dumps({"nodes": renumbered})
+    if in_growth_order(renumbered):  # the same tree, grown in another order
+        assert ThresholdTree.from_json(text).depth() == tree.depth()
+        assert_prefixes_route(ThresholdTree.from_json(text), X)
+    else:
+        with pytest.raises(ValueError, match="tree JSON"):
+            ThresholdTree.from_json(text)
 
 
 def test_deep_chain_walks_without_recursion():
