@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from importlib.resources import files
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xkmeans
 from xkmeans import cli
@@ -536,6 +541,142 @@ def test_explain_malformed_tree_exit_code(tmp_path, capsys, nodes):
     code = main(["explain", "--tree", str(tree_file), "--point", "0.0"])
     assert code == 1
     assert "tree JSON" in capsys.readouterr().err
+
+def test_explain_rejects_a_tree_out_of_growth_order(tmp_path, capsys):
+    # every node is reachable once, but node 0's children are 1 and 3, so
+    # the tree's first split is not its first three nodes; run never writes it
+    nodes = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 3},
+        {"feature": 0, "threshold": 0.2, "left": 2, "right": 4},
+        {"label": 0},
+        {"label": 1},
+        {"label": 0},
+    ]
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(json.dumps({"nodes": nodes}))
+    assert main(["explain", "--tree", str(tree_file), "--point", "0.3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: tree JSON") and out.err.count("\n") == 1
+
+
+def exits_cleanly(argv, files):
+    """Run `main` on `argv` in a fresh directory holding `files` (name ->
+    text), where "{dir}" in an argument names that directory. It must exit 0
+    with no error line, or 1 with exactly one, and never raise."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a dropped column warns; only errors count here
+        for name, text in files.items():
+            Path(tmp, name).write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{dir}", tmp) for arg in argv])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1)
+    assert sum(line.startswith("error:") for line in lines) == code
+    assert "Traceback" not in err.getvalue()
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "-2.5", "3e2", " 4 ", "inf", "-inf", "nan", "1e999", "5e-324",
+     "", "x", "0x10", "1_0", "\ufeff1"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV files: rows of one width (one row may run long) under an
+    optional header row of any width."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_TOKENS, min_size=width, max_size=width), max_size=8))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(_TOKENS))
+    header = draw(st.none() | st.lists(st.sampled_from(["a", "b", "x y", "#c"]), min_size=1, max_size=5))
+    lines = [",".join(row) for row in ([header] if header else []) + rows]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    csv_texts(),
+    st.none() | st.sampled_from(["0", "1,0", "0,0", "3", "-1", "a"]),
+    st.integers(1, 3),
+    st.sampled_from(["k", "k,2k", "1,5"]),
+    st.sampled_from(["exkmc", "exkmc,kdtree", "imm,gini_tree"]),
+    st.integers(1, 4),
+)
+# a header narrower than its rows, over a non-numeric column it does not name
+@example("a,b\n1,2,x\n3,4,y\n", None, 1, "k", "exkmc", 1)
+def test_fuzzed_csv_exits_0_or_1_with_one_error_line(text, columns, k, leaves, methods, jobs):
+    argv = ["run", "--data={dir}/d.csv", "--out={dir}/out", f"--k={k}", f"--leaves={leaves}",
+            f"--methods={methods}", f"--jobs={jobs}"]
+    exits_cleanly(argv + ([] if columns is None else [f"--columns={columns}"]), {"d.csv": text})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["blobs", "synthetic2"]),
+    st.integers(-1, 4),
+    st.integers(0, 40),
+    st.integers(0, 20),
+    st.sampled_from(["0", "1.5", "-3", "nan", "inf", "1e300"]),
+    st.none() | st.sampled_from(["k", "1", "2,1", "k,2k", "0", "3k", "k,k", " , ", "5,9", "x"]),
+    st.none() | st.lists(st.sampled_from([*METHODS, "bogus"]), min_size=1, max_size=3).map(",".join),
+    st.integers(0, 3),
+    st.integers(1, 4),
+)
+def test_fuzzed_flags_exit_0_or_1_with_one_error_line(synth, k, n, d, separation, leaves, methods, seed, jobs):
+    # synthetic sets of at most 80 points, so that no example is slow or large
+    argv = ["run", f"--synth={synth}", "--out={dir}/out", f"--k={k}", f"--n={n}", f"--d={d}",
+            f"--separation={separation}", f"--seed={seed}", f"--jobs={jobs}"]
+    argv += [] if leaves is None else [f"--leaves={leaves}"]
+    exits_cleanly(argv + ([] if methods is None else [f"--methods={methods}"]), {})
+
+
+_JSON_VALUES = (
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats() | st.text(max_size=3) | st.just([])
+)
+
+
+@st.composite
+def tree_texts(draw):
+    """JSON of trees grown by `split_leaf`, as `run` writes them, then maybe
+    renumbered out of growth order, given a bad field or key, or cut short."""
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, 0)
+    for _ in range(draw(st.integers(0, 5))):
+        leaf = draw(st.sampled_from(tree.leaf_ids()))
+        for child in tree.split_leaf(leaf, draw(st.integers(0, 2)), draw(st.sampled_from([-1.0, 0.0, 0.5]))):
+            tree.set_leaf_label(child, draw(st.integers(0, 3)))
+    nodes = json.loads(tree.to_json())["nodes"]
+    change = draw(st.sampled_from(["none", "renumber", "field", "drop", "cut"]))
+    if change == "renumber":
+        order = [0, *draw(st.permutations(range(1, len(nodes))))]  # old id -> new id
+        renumbered = [None] * len(nodes)
+        for old, node in enumerate(nodes):
+            if "left" in node:
+                node = {**node, "left": order[node["left"]], "right": order[node["right"]]}
+            renumbered[order[old]] = node
+        nodes = renumbered
+    elif change in ("field", "drop"):
+        node = draw(st.sampled_from(nodes))
+        key = draw(st.sampled_from(["feature", "threshold", "left", "right", "label"]))
+        if change == "field":
+            node[key] = draw(_JSON_VALUES)
+        else:
+            node.pop(key, None)
+    text = json.dumps({"nodes": nodes})
+    return text[: draw(st.integers(0, len(text)))] if change == "cut" else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree_texts(),
+    st.lists(st.sampled_from(["0", "0.5", "-1", "2", "nan", "inf", "", "x"]), min_size=1, max_size=4),
+)
+def test_fuzzed_explain_exits_0_or_1_with_one_error_line(text, point):
+    exits_cleanly(["explain", "--tree={dir}/t.json", f"--point={','.join(point)}"], {"t.json": text})
+
 
 def _child_env():
     """Environment in which a child process imports the same xkmeans as
