@@ -771,34 +771,22 @@ def naive_expand(X, M, base, k_prime):
     return tree, costs
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 24),
-    st.integers(1, 3),
-    st.integers(1, 3),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from([0.0, 1e6]),
-    st.integers(0, 10**6),
-    st.data(),
-)
-def test_expand_matches_naive_whole_build(n, d, k, grid, duplicates, imm_base, offset, seed, data):
-    # integer grids and repeated rows tie splits and leave cells
-    # unsplittable; an IMM base starts from k labeled leaves, some of them
-    # possibly empty, and a lone root is labeled by expand itself
+def oracle_inputs(n, d, k, grid, duplicates, imm_base, offset, seed):
+    """Points, centers and a base tree for the naive oracle: an IMM tree over
+    the points' nearest centers, or a lone unlabeled root."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
     if duplicates:
         pts = pts[rng.integers(0, max(1, n // 3), size=n)]
     X = DataMatrix(pts + offset)
     M = CenterSet(rng.normal(size=(k, d)) + offset)
-    if imm_base:
-        nearest = ((X.points[:, None, :] - M.centers[None]) ** 2).sum(axis=2).argmin(axis=1)
-        base = build_imm(X, M, Assignment(nearest))
-    else:
-        base = ThresholdTree()
-    k_prime = data.draw(st.integers(base.leaf_count, max(n, base.leaf_count)))
+    if not imm_base:
+        return X, M, ThresholdTree()
+    nearest = ((X.points[:, None, :] - M.centers[None]) ** 2).sum(axis=2).argmin(axis=1)
+    return X, M, build_imm(X, M, Assignment(nearest))
+
+
+def assert_expand_matches_naive(X, M, base, k_prime, offset):
     result = expand(X, M, base, k_prime)
     tree, costs = naive_expand(X, M, base, k_prime)
     assert result.tree.to_json() == tree.to_json()
@@ -809,3 +797,40 @@ def test_expand_matches_naive_whole_build(n, d, k, grid, duplicates, imm_base, o
     for step in result.trace:
         km = kmeans_cost(X, result.tree.prefix(base.leaf_count + step.step).induced_assignment(X))
         assert step.kmeans_cost == pytest.approx(km, rel=rel, abs=rel)
+
+
+_ORACLE_INPUTS = (
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_ORACLE_INPUTS, st.data())
+def test_expand_matches_naive_whole_build(n, d, k, grid, duplicates, imm_base, offset, seed, data):
+    # integer grids and repeated rows tie splits and leave cells
+    # unsplittable; an IMM base starts from k labeled leaves, some of them
+    # possibly empty, and a lone root is labeled by expand itself
+    X, M, base = oracle_inputs(n, d, k, grid, duplicates, imm_base, offset, seed)
+    k_prime = data.draw(st.integers(base.leaf_count, max(n, base.leaf_count)))
+    assert_expand_matches_naive(X, M, base, k_prime, offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_ORACLE_INPUTS, st.data())
+def test_expand_matches_naive_from_a_cut_base(n, d, k, grid, duplicates, imm_base, offset, seed, data):
+    # a base grown by expand, cut with prefix at a random size and grown
+    # again to a random budget: the cut's leaves keep their pre-split labels,
+    # and expand takes their cells from routing, not from the first build.
+    # IMM labels only its k leaves, so a cut keeps at least those
+    X, M, base = oracle_inputs(n, d, k, grid, duplicates, imm_base, offset, seed)
+    built = expand(X, M, base, data.draw(st.integers(base.leaf_count, max(n, base.leaf_count)))).tree
+    cut = built.prefix(data.draw(st.integers(base.leaf_count, built.leaf_count)))
+    k_prime = data.draw(st.integers(cut.leaf_count, max(n, cut.leaf_count)))
+    assert_expand_matches_naive(X, M, cut, k_prime, offset)
