@@ -8,8 +8,7 @@ label each new leaf by the builder's own rule, with `set_leaf_label`
 (`split_leaf` makes unlabeled children), and to propose its split. It
 splits best-first, popping a heap keyed on (-priority, leaf id); leaf ids
 only grow, so among equal priorities the oldest leaf goes first. Any tree,
-built, cut or loaded, gives the cells of a dataset with `cells`, in one
-pass over its nodes in growth order (below).
+built, cut or loaded, is in growth order (below): `cells` routes it in one pass.
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable list indices (the root is always node 0) and are never reused;
@@ -17,8 +16,8 @@ splitting mutates a leaf into an inner node and appends two children, so the
 greedy construction order is preserved in the node list: the tree after its
 first b - 1 splits is the first 2b - 1 nodes. An inner node keeps the label
 it had as a leaf, so such a prefix is read off without relabeling (`prefix`).
-Every tree is in this growth order: each inner node's children are two
-consecutive nodes after it, and `from_json` rejects a tree that is not.
+Every tree keeps this growth order, each parent before its two consecutive
+children, and `from_json` rejects a tree that does not.
 """
 
 from __future__ import annotations
@@ -196,7 +195,9 @@ class ThresholdTree:
         cells = {self.root: np.arange(X.n)}
         for i, node in enumerate(self.nodes):  # every parent comes before its children
             if not node.is_leaf:
-                cells[node.left], cells[node.right] = split_cell(X, cells.pop(i), node.feature, node.threshold)
+                cells[node.left], cells[node.right] = split_cell(
+                    X, cells.pop(i), node.feature, node.threshold
+                )
         return dict(sorted(cells.items()))
 
     def induced_assignment(self, X: DataMatrix, cells: dict | None = None) -> Assignment:
@@ -259,12 +260,11 @@ class ThresholdTree:
     def from_json(cls, text: str) -> "ThresholdTree":
         """Load a tree written by `to_json`.
 
-        Raises ValueError unless the nodes are in growth order, as
-        `split_leaf` appends them: every inner node's children are two
-        consecutive nodes after it, and every node but node 0 is the child
-        of exactly one node. Every feature and child index must be an
-        integer, every threshold a finite number, and every label an integer
-        (or null, for an unlabeled leaf).
+        Raises ValueError unless the nodes are in growth order (each inner
+        node's children are two consecutive nodes after it, and every node
+        but node 0 is a child exactly once), every feature and child index is
+        an integer, every threshold a finite number, and every label an
+        integer (or null, for an unlabeled leaf).
         """
         payload = json.loads(text)
         raw = payload.get("nodes") if isinstance(payload, dict) else None
