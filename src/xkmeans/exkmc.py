@@ -5,9 +5,9 @@ largest drop in surrogate cost, labels the two children with their best
 reference centers, and rescans only those children. Because the centers
 never move, the per-leaf costs are independent and the whole loop needs no
 global recomputation. The loop itself is `tree.grow`, with the scan gain as
-each leaf's priority; `expand` prices and labels each new cell with
-`best_center`, its one labeling rule, and records each step in the trace.
-The scan ranks splits and prices the best one; it labels nothing.
+each leaf's priority and as its split's gain in the trace; `expand` prices
+and labels each new cell with `best_center`, its one labeling rule. The
+scan ranks splits and prices the best one; it labels nothing.
 
 The split scan avoids evaluating every (threshold, center) pair from
 scratch. For a side S of the cell and a center mu,
@@ -62,6 +62,8 @@ class SplitCandidate:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One split of `expand`; `gain` is the scan gain it was ranked by."""
+
     step: int
     leaf: int
     feature: int
@@ -213,12 +215,12 @@ def expand(
 
     Zero-gain splits are taken as long as a valid split exists; a leaf whose
     points are all identical is skipped, and the loop ends early once every
-    leaf is unsplittable. Ties on gain go to the lowest leaf id; round-off
-    gains count as zero (see `scan_best_split`). Leaves made by the split
-    that reaches k_prime are priced but not scanned. `base` may be any tree whose leaves are labeled
-    (a lone unlabeled root gets its best center): built, cut with `prefix`
-    or loaded with `from_json`, since its cells come from routing X. The
-    input tree is not modified.
+    leaf is unsplittable. Ties on gain go to the lowest leaf id; a step's gain
+    is the scan's, round-off counting as zero. Leaves made by the split that
+    reaches k_prime are priced but not scanned. `base` may be any tree whose
+    leaves are labeled (a lone unlabeled root gets its best center): built,
+    cut with `prefix` or loaded with `from_json`, since its cells come from
+    routing X. The input tree is not modified.
     `stop_condition`, when given, sees each step as it is taken and ends the
     expansion early when it returns True.
     """
@@ -233,13 +235,14 @@ def expand(
 
     leaf_cost: dict[int, float] = {}
     fresh: dict[int, tuple] = {}  # cell stats of the leaves not yet in `agg`
+    scanned: dict[int, SplitCandidate | None] = {}  # each leaf's split, ranked by its gain
 
     def propose(leaf, ids, points, splittable):
         fresh[leaf] = stats = cell_stats(points)
         label, leaf_cost[leaf] = best_center(stats, M)
         if tree.nodes[leaf].label is None:  # a new child, or the root of an empty tree
             tree.set_leaf_label(leaf, label)
-        cand = scan_best_split(points, M, stats) if splittable else None
+        cand = scanned[leaf] = scan_best_split(points, M, stats) if splittable else None
         return None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)
@@ -257,15 +260,11 @@ def expand(
             if label != node.label:
                 agg.merge(stats, node.label, -1)
                 agg.merge(stats, label)
-        lc, rc = leaf_cost[node.left], leaf_cost[node.right]
-        prev_cost = leaf_cost.pop(leaf)
-        gain = prev_cost - (lc + rc)
-        if abs(gain) < _REL_TOL * max(1.0, abs(prev_cost)):
-            gain = 0.0
+        del leaf_cost[leaf]
         step = TraceStep(
             len(trace) + 1, leaf, node.feature, node.threshold,
             tree.nodes[node.left].label, tree.nodes[node.right].label,
-            gain, float(sum(leaf_cost.values())), agg.cost(),
+            scanned.pop(leaf).gain, float(sum(leaf_cost.values())), agg.cost(),
         )
         trace.append(step)
         if stop_condition is not None and stop_condition(step):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -834,3 +835,34 @@ def test_expand_matches_naive_from_a_cut_base(n, d, k, grid, duplicates, imm_bas
     cut = built.prefix(data.draw(st.integers(base.leaf_count, built.leaf_count)))
     k_prime = data.draw(st.integers(cut.leaf_count, max(n, cut.leaf_count)))
     assert_expand_matches_naive(X, M, cut, k_prime, offset)
+
+
+def exact_price(points, M):
+    """The cheapest center's direct sum of squares over a cell, summed exactly."""
+    return min(math.fsum(((points - c) ** 2).ravel()) for c in M.centers)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+def test_trace_gain_is_the_scans_gain_and_exact_at_large_offsets(offset):
+    # replayed from a lone root to k' = n: each step records bit for bit the
+    # gain its split was ranked by, which the scan takes in the cell's
+    # centered frame, so it matches exact prices of the three cells at any
+    # offset; `best_center` prices carry the mean's rounding at the offset
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        n, d, k = int(rng.integers(10, 61)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        X = DataMatrix(rng.normal(size=(n, d)) + offset)
+        M = CenterSet(rng.normal(size=(k, d)) + offset)
+        tree = ThresholdTree()
+        for step in expand(X, M, tree, n).trace:
+            cell = X.points[tree.cells(X)[step.leaf]]
+            tree.split_leaf(step.leaf, step.feature, step.threshold)
+            left = cell[:, step.feature] <= step.threshold
+            parent = exact_price(cell, M)
+            exact = parent - exact_price(cell[left], M) - exact_price(cell[~left], M)
+            if step.gain == 0.0:  # within the scan's tie tolerance
+                assert abs(exact) <= (_REL_TOL + 1e-12) * max(1.0, parent)
+            else:
+                assert abs(step.gain - exact) <= 1e-12 * parent
+            scanned = scan_best_split(cell, M)
+            assert (step.feature, step.threshold, step.gain) == (scanned.feature, scanned.threshold, scanned.gain)

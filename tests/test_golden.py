@@ -65,9 +65,9 @@ GOLDEN = {
         "trace_exkmc_imm_k12.jsonl": "2526ae08d1e666fbb7d18003ac2f1510ab6a382d1075aa1eb0bf0a367d28f765",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k6.jsonl": "2d42812061dbfbe3ed8539ea462024fcd0f5663d73e2e9b1231dbc78607eb7a5",
-        "trace_exkmc_k12.jsonl": "02d7e94eba0b68e0cd48fe5b72067d8a15d8b46a33f0feb85387e1680bf00c69",
-        "trace_exkmc_k3.jsonl": "b507bf9fa5361b46deb9f5f5990bce3960eb5c66fc37eefcef27e45f8c22b73b",
-        "trace_exkmc_k6.jsonl": "adf7e73ecd2c673994a2ef2cce81ed629a4c9ccdde214ccb24278da0fab32521",
+        "trace_exkmc_k12.jsonl": "530ff4317a04491b3a01d4fd24d3e96478b8151a45fd22e1dd7ff2ebe46f70c1",
+        "trace_exkmc_k3.jsonl": "29b0af6170e6dfd06d36a793a7df6656c88c59155ed1be1eaeafffbfd5047745",
+        "trace_exkmc_k6.jsonl": "20e6c3cc5ce177cf4a2926d0accf0683b81dd544c525eeb556e5a59c0fd47d01",
         "tree_exkmc_imm_k12.dot": "05d763cb7dcecdf08ccb6033f01434da93108b8cefe7bd31acb9db0e07be0332",
         "tree_exkmc_imm_k12.json": "59f880afcf37915c51acbafd5756760f3b2a00e44844943f26824dccf4db4e82",
         "tree_exkmc_imm_k3.dot": "42f67c986b89c763f90a5c1fa3bb2283852b41e22ea2f09fe51f7f45fc809792",
@@ -104,9 +104,9 @@ GOLDEN = {
         "trace_exkmc_imm_k16.jsonl": "2657f91cfab3ce78cbd1b62cb689427810a484ae4084a33537a571832f611aaa",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k8.jsonl": "0e2e5abbf11138ef096643f117dd7ec55ccf698b8efe81404807f6ab9f9a8932",
-        "trace_exkmc_k16.jsonl": "93cdc6aaf1b0a046fb03afea98f68b98fca08b52065d41e6c4159d138c99f6b2",
-        "trace_exkmc_k4.jsonl": "fdf7710ee30fe0d28182fcbc1f1e4354ab0673569238e396984c22bb3ee258a0",
-        "trace_exkmc_k8.jsonl": "cf96259b429fb83e1da5e80f2f5dc50717ed8af42f7bfbca91b765fe850e9d86",
+        "trace_exkmc_k16.jsonl": "5efeaa80a82b88ffb7f4ddc9f4f95a3f64fc76d3e126359f782273a0d5ec930d",
+        "trace_exkmc_k4.jsonl": "a0effa14c4ddbf5514702527c3006e6a641b502ed677f43f67474eec72e5eacc",
+        "trace_exkmc_k8.jsonl": "68b7706b137d646e9e697956340a7ab8c2458e297fb8a15a4bc5ba73b41c85d7",
         "tree_exkmc_imm_k16.dot": "33d056094c2f822d3f118f28bb078b86548c9b294172b295b82086f3a682a2d7",
         "tree_exkmc_imm_k16.json": "10cb0e4ec7f25f6539d4eed8dc92473ac63d8b827bdf4d0579efa93959969266",
         "tree_exkmc_imm_k4.dot": "ae8c09eeff21b8e5e46b49bea6bd77ef2ee807461d815f103fc79eb07ffba194",
@@ -140,12 +140,12 @@ GOLDEN = {
     },
     "blobs_deep_seed0": {
         "results.csv": "ec014dd8f4bfcf444dffd846ccce2773fa48873a43af17be7e9eeace93f952d4",
-        "trace_exkmc_imm_k1500.jsonl": "9d59459c68527cfdf35d7864a5f5081c39c468c9ce793272081ccb1725152c97",
+        "trace_exkmc_imm_k1500.jsonl": "109557168656bbc4cc2f1822b8b096d6eb00bef55a372d8ba8d3c7ca44c6f909",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k500.jsonl": "6629124977bf6154b15c0aaed770212dfa7626af626106a2b7bc5bca60fa19b3",
-        "trace_exkmc_k1500.jsonl": "7d9034c997f8e2c9ca979c596b14e78c0a765386c56b5f72da0a49ce778f2811",
-        "trace_exkmc_k4.jsonl": "f7ae18d059273e2ba8c8ca9812070305fdae866d0cf87fb69a5ace9bf84775e2",
-        "trace_exkmc_k500.jsonl": "3847e70e117a76d53f2afd7d06c81eba0b53ee0b90844aa72a5b90226eed9aea",
+        "trace_exkmc_imm_k500.jsonl": "975dc8d25ead9b55d0fcb2a763a610d7162b435720943192a23f9f6ab3dd7ae9",
+        "trace_exkmc_k1500.jsonl": "3fa8be3743659da959996150a9c1d34101c4500aedd997fd3a5ec04edcf3ab44",
+        "trace_exkmc_k4.jsonl": "1f415ae752ab5a9e702392f17a1d87756191aec5e6ed6845c1b3dfd8f8374e92",
+        "trace_exkmc_k500.jsonl": "3d7a2b92431a05b775fa646a48f8a4158de4ae65627a24981f80a5ba2d1bc054",
         "tree_exkmc_imm_k1500.dot": "7782c87061892f8bddf264f217a00c4939b6f0972bef59f993c0ba0d74cc71c9",
         "tree_exkmc_imm_k1500.json": "bd417729ee898cb95c73d7d531bb3ce797830fe74f59f9b21c7717d15adaa4b8",
         "tree_exkmc_imm_k4.dot": "376ef17119eb5336a8cdc3cd77a3dffdba10a16793220de3af0a73c9c7ceb7c3",
@@ -179,12 +179,12 @@ GOLDEN = {
     },
     "blobs_deep_seed0_jobs3": {
         "results.csv": "ec014dd8f4bfcf444dffd846ccce2773fa48873a43af17be7e9eeace93f952d4",
-        "trace_exkmc_imm_k1500.jsonl": "9d59459c68527cfdf35d7864a5f5081c39c468c9ce793272081ccb1725152c97",
+        "trace_exkmc_imm_k1500.jsonl": "109557168656bbc4cc2f1822b8b096d6eb00bef55a372d8ba8d3c7ca44c6f909",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k500.jsonl": "6629124977bf6154b15c0aaed770212dfa7626af626106a2b7bc5bca60fa19b3",
-        "trace_exkmc_k1500.jsonl": "7d9034c997f8e2c9ca979c596b14e78c0a765386c56b5f72da0a49ce778f2811",
-        "trace_exkmc_k4.jsonl": "f7ae18d059273e2ba8c8ca9812070305fdae866d0cf87fb69a5ace9bf84775e2",
-        "trace_exkmc_k500.jsonl": "3847e70e117a76d53f2afd7d06c81eba0b53ee0b90844aa72a5b90226eed9aea",
+        "trace_exkmc_imm_k500.jsonl": "975dc8d25ead9b55d0fcb2a763a610d7162b435720943192a23f9f6ab3dd7ae9",
+        "trace_exkmc_k1500.jsonl": "3fa8be3743659da959996150a9c1d34101c4500aedd997fd3a5ec04edcf3ab44",
+        "trace_exkmc_k4.jsonl": "1f415ae752ab5a9e702392f17a1d87756191aec5e6ed6845c1b3dfd8f8374e92",
+        "trace_exkmc_k500.jsonl": "3d7a2b92431a05b775fa646a48f8a4158de4ae65627a24981f80a5ba2d1bc054",
         "tree_exkmc_imm_k1500.dot": "7782c87061892f8bddf264f217a00c4939b6f0972bef59f993c0ba0d74cc71c9",
         "tree_exkmc_imm_k1500.json": "bd417729ee898cb95c73d7d531bb3ce797830fe74f59f9b21c7717d15adaa4b8",
         "tree_exkmc_imm_k4.dot": "376ef17119eb5336a8cdc3cd77a3dffdba10a16793220de3af0a73c9c7ceb7c3",
@@ -221,9 +221,9 @@ GOLDEN = {
         "trace_exkmc_imm_k1500.jsonl": "e5d6668cc27dfd11b3ba81f78125ec30b071fbe8ab78db6fb048e578cddf0131",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k500.jsonl": "05db79bcf18d85efa9dcae4c8c77b9f48dd0b61d6893e9d209410623a4181ef0",
-        "trace_exkmc_k1500.jsonl": "4e517c72688d2e57f6c31b6cffb0d4a8ea5bbc099fb9ba09ec776939f08216db",
-        "trace_exkmc_k4.jsonl": "d1266159e8180cb430f5f7ab3c64942718799bd378511158ebcb94fb1fb9aff9",
-        "trace_exkmc_k500.jsonl": "08e9830fcdb245c343e2868f4c381289acd33f09cf961a5d2f20cbadd02ef626",
+        "trace_exkmc_k1500.jsonl": "0407b719617bc6005d805d7c241c7fa02e25ba7ed678df408617b556b37a3dc1",
+        "trace_exkmc_k4.jsonl": "55977a6075f3c51fc6e38a600050d6ecdd1706f679919e0a2561bc7a4f40e728",
+        "trace_exkmc_k500.jsonl": "26ac58f70bdd93072644c9b4611309afa7adb7f74dd3a123b0d52caec07c70a0",
         "tree_exkmc_imm_k1500.dot": "68f0545aac9a824c84847086bb23a52818e1824ec694087321ee7cf51220bf4a",
         "tree_exkmc_imm_k1500.json": "72b6a1e353f86f089eb39304ba4480120dc50422261e9ea82646690e3da5adf7",
         "tree_exkmc_imm_k4.dot": "4b9f740a383492e1279025ded3d6ea7327a963bb57b3ea769bb95276e86e130c",
@@ -260,9 +260,9 @@ GOLDEN = {
         "trace_exkmc_imm_k16.jsonl": "2a8ce98d71f51f7ff66a67b45b2177ad27b19e72b25abd85267eccbc999577e4",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k8.jsonl": "caaad32391c1d387dd3d6564877d3bee0a548ff93fd151c9804f5f7ca656a977",
-        "trace_exkmc_k16.jsonl": "9decea853c7ce6f70cc7735fb69fa33dad0a1eb2208005ace473bdaaea4344ed",
-        "trace_exkmc_k4.jsonl": "018d5617079ed6b8c1135974b285bfa0ad94631cec7e2db82054072319734dc8",
-        "trace_exkmc_k8.jsonl": "8b73edf8288e58ba0f67b968b4d1642b4d19e2f19d7421f9483ef501627ada27",
+        "trace_exkmc_k16.jsonl": "e0aee688d1c87a2f552a972917ff553d21ff190dde5e9f42f7ac1c3361819ee1",
+        "trace_exkmc_k4.jsonl": "db0bb81e7aed7de2aef7d9d4d44f6a6de8446465ca00d4dc132d6665fb6ebc5b",
+        "trace_exkmc_k8.jsonl": "bab7acc43bd2369538f06e34543ec9d09b4c742c38cf003107cdf4a5917c055a",
         "tree_exkmc_imm_k16.dot": "590ef09f38b701c94d4dbd278876fee04cbd92dba2fa592e234ba845ea4f1545",
         "tree_exkmc_imm_k16.json": "d7e29273d5384127a011fceb31430cf39534bc9782fae7ecd55fbafbf3beb212",
         "tree_exkmc_imm_k4.dot": "22f350b5b9a60aff1ab16ac0a8b7ad0aa3ce59687677d40a467ebddfa24f142b",
@@ -296,12 +296,12 @@ GOLDEN = {
     },
     "blobs_tall_seed7": {
         "results.csv": "4c1a4f7e3426e3fda37100f444dfe4fae5abf1c0db4c261d65236a5afac53acc",
-        "trace_exkmc_imm_k16.jsonl": "3841d208f8f9730ddae3c5a4b08d4fe628450af2b4e508dbb0e8489cc24d43f5",
+        "trace_exkmc_imm_k16.jsonl": "d41553d264a3471056e7068d2af63fca3f715c748c3ad107cf634d780ca1a30e",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k8.jsonl": "a522f1da057312e3e365de8018dd8c4f3c0cbdc8772d562a949142e3d8f7a118",
-        "trace_exkmc_k16.jsonl": "9068d24a54ec4d7c318ebe015edd846551f994657f349ad8e385ca7d4b6a47f5",
-        "trace_exkmc_k4.jsonl": "eec953783971a76e6e31f515c928a42466fca121b3d8d988ccb88eb0811afbf7",
-        "trace_exkmc_k8.jsonl": "23f595edd95c41fee5a16923af9158bb136de763b8b8f19cfb4407149793a11a",
+        "trace_exkmc_imm_k8.jsonl": "22ecbde04c15c9db8ab295f9c5f4ab457f14ad328609868df6646c090233241d",
+        "trace_exkmc_k16.jsonl": "06c967840aaeb8095dc2b11c1febd1ae1c1ed816a504ee4121340ed787381a40",
+        "trace_exkmc_k4.jsonl": "0058bc46ad177c665e53c06b8a29378b48aa54049760daf70b9354d2b439834d",
+        "trace_exkmc_k8.jsonl": "c202a0fdbc76d82a5d0691b6bcc8863106a56f6dd7030147e035333646f97e4e",
         "tree_exkmc_imm_k16.dot": "2616f7a540c3a75b893aba18e86862d0383436b8fa79a0682a03c595f9e42bf3",
         "tree_exkmc_imm_k16.json": "13df448a143399661080d6960f1646a1965b67fc7592134f5def4038db02d693",
         "tree_exkmc_imm_k4.dot": "4c6523d82a08ed838611ff76b3bd3d45c422e5b7c43c2bb826379544e09d913d",
@@ -336,9 +336,9 @@ GOLDEN = {
     "iris": {
         "results.csv": "7ddcb5f8e83cd6728eaf753b93bf0ec3cc2c87d589daedec4a4c8cd535c97016",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "6907f0b9674542a8b02245a9f14fb35cad8db13ea78c54fa6dbd3dd90892b22b",
-        "trace_exkmc_k3.jsonl": "a347111417136714e5058dcf467527949dc6fa1f54d5a74c8639a42aa57bf3e9",
-        "trace_exkmc_k6.jsonl": "488617214f9282b2f71fe478d02345660b5e3043254e40d4aaf4da90f0ecef1e",
+        "trace_exkmc_imm_k6.jsonl": "017579d74a624f34aac88cb9fa93b0defbc907771bc607a6426f91c20c1f4456",
+        "trace_exkmc_k3.jsonl": "9ec9a9fa5bb1d7cfd0bf151da5f3d48e153c8aaed397a95d39d068019960e011",
+        "trace_exkmc_k6.jsonl": "1dc4ac736a3f6a51adf109db497111cb6ed8729dedd324ce5a222a3720481b84",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
         "tree_exkmc_imm_k6.dot": "775fb47dd33eb0f595d04e6c4322ee148bcce8854846d1240e1a7ffca0c9bccf",
@@ -362,12 +362,12 @@ GOLDEN = {
     },
     "iris_deep": {
         "results.csv": "e7222a287a0edced81bc095a0210fc9d48bc174f2342c643b0588f8932f73100",
-        "trace_exkmc_imm_k150.jsonl": "e51075e2acd2af3a896b4473d00c1ae454a47d129468b6682426b3beb3cef0c9",
+        "trace_exkmc_imm_k150.jsonl": "89c398b6fa8c2d8874ca076faade85b4dc9c4b092f169eb7551e27a3f23e953a",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k40.jsonl": "af564920c26fca2a6d03ac6757dfca724352517fdaa854e2be9e6f9d118d5e40",
-        "trace_exkmc_k150.jsonl": "6360b5f3af241de2f9e3b71fa5127fcbd241726841d2b5b8b2f44e58793ab11e",
-        "trace_exkmc_k3.jsonl": "a347111417136714e5058dcf467527949dc6fa1f54d5a74c8639a42aa57bf3e9",
-        "trace_exkmc_k40.jsonl": "60549a22cc490f6419300a204a31f2abe112a1bf458f00bceef18ab4c352287a",
+        "trace_exkmc_imm_k40.jsonl": "4dcf3b8bb9dc5b4f0e82cf97decfc8a05786c159d719009d55f41190cac59725",
+        "trace_exkmc_k150.jsonl": "be8c340ab921381fb29aa934fcf14b2b9bba8ea646e62117fe7a8539221a33e8",
+        "trace_exkmc_k3.jsonl": "9ec9a9fa5bb1d7cfd0bf151da5f3d48e153c8aaed397a95d39d068019960e011",
+        "trace_exkmc_k40.jsonl": "830ac8d69708df08a36232cc84ccdf9a9f11d20ca1135a76eee1fe855f5ae025",
         "tree_exkmc_imm_k150.dot": "f3b89f74735907361aa9f34114a0aa0c64e3fc6493bd58b359b30727184660fc",
         "tree_exkmc_imm_k150.json": "5d3efcf7970e6c356ec9f55882889ce89e9ece1e831ef15695b3d77e1b5195f1",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
@@ -401,7 +401,7 @@ GOLDEN = {
     },
     "outlier_wide_seed0": {
         "results.csv": "36b43ecfbff9592952b84d1f1869819e277777991294bcbc0cbe49758c46b399",
-        "trace_exkmc_imm_k12.jsonl": "89ef432dc3c67c2acb9aa08f5bfa360c2ebcd70c733f2201f9a915519bd1baee",
+        "trace_exkmc_imm_k12.jsonl": "f2c1d774db8b53f87819797aa3f0e6abdd0cd66e23e497185051b05f8216c889",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "tree_exkmc_imm_k12.dot": "7773ce898d14452a64a05a0e33b84ea1bca583d0cb0abaf549150bf69c4cac73",
         "tree_exkmc_imm_k12.json": "fc251c7b837ee24fb42efaadab249a9b1f9d2f14017c14f30335726e46bf79db",
@@ -422,7 +422,7 @@ GOLDEN = {
     },
     "outlier_wide_seed7": {
         "results.csv": "e33c675f16ef931f8435cc93075aeda3c7765af62886fa0cc39b444df985b84b",
-        "trace_exkmc_imm_k12.jsonl": "295fb2198e2abdbb8b72a152b9f01c696cd77f803fa142b92e6d399929667eb9",
+        "trace_exkmc_imm_k12.jsonl": "17153afd94153cd6925f4fd33dcee1d3de5b8200cceb4566cafea1cb5c2c3c34",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "tree_exkmc_imm_k12.dot": "598fda20e6600f9e2ad01bb0cbf894a0715eb4889389cfabbe0ca2698841240b",
         "tree_exkmc_imm_k12.json": "0efad03f1fe7fa8997855df738381ae1db0e07106d2bb899e251bb4b71c4c138",
@@ -443,10 +443,10 @@ GOLDEN = {
     },
     "synthetic2_wide": {
         "results.csv": "532cdb9c37a8c65815135526cf945e239032ec53e92b7db1712e6b0764fd2edd",
-        "trace_exkmc_imm_k12.jsonl": "8934dce3e37c660da6fc1260d6f66ba1d894e6e2ce907cf571def42102ccddc8",
+        "trace_exkmc_imm_k12.jsonl": "f599a09c797929a7199b19fc0a867bdbd3fe570827e047deff8b7efd7c731017",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_k12.jsonl": "ceff09431754552a1cee2e6658e11565124edc7ea22c83a7b4c5656c0a79c006",
-        "trace_exkmc_k3.jsonl": "b2cde1725071190821404aae3aa9107e3f35a69a942a556d30a7028e49968d03",
+        "trace_exkmc_k12.jsonl": "2b0c40857fc86519347a18d4a4f26b469eaa03b6fc01c0d7669215f0a6cc8e59",
+        "trace_exkmc_k3.jsonl": "e55d7fe8162d861e04fb4ba6ca8bec3a25d36391f2847456ac7843261ffea58c",
         "tree_exkmc_imm_k12.dot": "fb5b224c2ce9fdee5832ddd4c60ca6af8fa8d14e3170ceeda1c558d86de86a80",
         "tree_exkmc_imm_k12.json": "7e3cb59cf75815bc246b42c7419eed6c69316bf509af19784d943166a5550f0e",
         "tree_exkmc_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
