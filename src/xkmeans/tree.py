@@ -266,7 +266,10 @@ class ThresholdTree:
         an integer, every threshold a finite number, and every label an
         integer (or null, for an unlabeled leaf).
         """
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:  # the parser recurses once per nesting level
+            raise ValueError("tree JSON is nested too deeply to parse") from None
         raw = payload.get("nodes") if isinstance(payload, dict) else None
         if not isinstance(raw, list) or not raw:
             raise ValueError("tree JSON has no nodes")

@@ -560,6 +560,16 @@ def test_explain_rejects_a_tree_out_of_growth_order(tmp_path, capsys):
     assert out.err.startswith("error: tree JSON") and out.err.count("\n") == 1
 
 
+def test_explain_rejects_deeply_nested_json(tmp_path, capsys):
+    # the JSON parser recurses once per level, past Python's recursion limit
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["explain", "--tree", str(tree_file), "--point", "0.3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: tree JSON") and out.err.count("\n") == 1
+
+
 def exits_cleanly(argv, files):
     """Run `main` on `argv` in a fresh directory holding `files` (name ->
     text), where "{dir}" in an argument names that directory. It must exit 0
