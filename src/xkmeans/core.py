@@ -233,7 +233,7 @@ def load_csv(path, columns: Sequence[int] | None = None) -> DataMatrix:
     path = Path(path)
     try:
         data = _loadtxt(path, columns)
-    except ValueError:
+    except (ValueError, csv.Error):
         data = None  # read again below, outside this handler
     return DataMatrix(_load_rows(path, columns) if data is None else data)
 
@@ -258,7 +258,10 @@ def _loadtxt(path: Path, columns) -> np.ndarray:
 
 def _load_rows(path: Path, columns) -> np.ndarray:
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path} is empty")
 

@@ -617,6 +617,10 @@ def csv_texts(draw):
 )
 # a header narrower than its rows, over a non-numeric column it does not name
 @example("a,b\n1,2,x\n3,4,y\n", None, 1, "k", "exkmc", 1)
+# a field over the csv module's 131,072-character limit, in the first row
+# (met by the one-pass parse) and in a later one (by the row-by-row parse)
+@example("1," + "1" * 200_000 + "\n1,2\n", None, 1, "k", "exkmc", 1)
+@example("1,2\n1," + "x" * 200_000 + "\n", None, 1, "k", "exkmc", 1)
 def test_fuzzed_csv_exits_0_or_1_with_one_error_line(text, columns, k, leaves, methods, jobs):
     argv = ["run", "--data={dir}/d.csv", "--out={dir}/out", f"--k={k}", f"--leaves={leaves}",
             f"--methods={methods}", f"--jobs={jobs}"]
