@@ -36,13 +36,13 @@ def points_from_codewords(codewords: np.ndarray) -> tuple[DataMatrix, CenterSet,
     return X, CenterSet(codewords), labels
 
 
-def _min_pairwise_sq(codewords: np.ndarray) -> float:
-    k = codewords.shape[0]
+def _min_pairwise_sq(rows: np.ndarray) -> float:
+    k = rows.shape[0]
     if k < 2:
         return float("inf")
     best = float("inf")
     for i in range(k - 1):
-        diff = codewords[i + 1:] - codewords[i]
+        diff = rows[i + 1:] - rows[i]
         best = min(best, float(np.einsum("ij,ij->i", diff, diff).min()))
     return best
 
@@ -111,13 +111,7 @@ def gen_gaussian_blobs(
         if not np.isfinite(2 * scale):  # the width of [-scale, scale]
             raise ValueError(f"blob separation {separation!r} leaves no finite box for the centers")
         centers = rng.uniform(-scale, scale, size=(k, d))
-        if k == 1:
-            break
-        dists = np.sqrt(
-            ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        )
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() >= separation:
+        if np.sqrt(_min_pairwise_sq(centers)) >= separation:  # inf for one center
             break
         scale *= 1.5
     else:
