@@ -96,11 +96,12 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     between distinct values are scored: the r per-point statistics `rows`
     (r, m) are cumsummed in sorted order up to the block's last such cut,
     and `score(cums, left)` maps the r prefix sums at the cuts, with `left`
-    points left of each cut, to each cut's score. Each feature keeps its
-    first cut within `tol` of its best, or its first cut when none is (a
-    NaN score, only from an overflowing cell), and the lowest feature
-    within `tol` of the best of those wins. Returns (score, feature,
-    threshold), or None.
+    points left of each cut, to each cut's score. The first cut, feature
+    by feature, within `tol` of the best of all wins, never one reached
+    through a chain of near-ties; each block keeps only its first cut and
+    the cuts below every earlier one, and the winner is always kept. A NaN
+    score (only from an overflowing cell) makes the scan's first cut win.
+    Returns (score, feature, threshold), or None.
     """
     found = []
     for c0 in range(0, points.shape[1], _BLOCK):
@@ -115,18 +116,14 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
         order = np.argsort(blk, axis=1, kind="stable")[:, :last]
         cums = [np.cumsum(row[order], axis=1).ravel()[at] for row in rows]
         tot = score(cums, at % last + 1.0)
-        runs = valid.sum(axis=1)
-        runs = runs[runs > 0]  # cuts of each feature that has any
-        starts = np.cumsum(runs) - runs
-        near = tot <= np.repeat(np.minimum.reduceat(tot, starts), runs) + tol
-        first = np.minimum.reduceat(np.where(near, np.arange(at.size), at.size), starts)
-        t_star = np.where(first < at.size, first, starts)  # first near-tie
-        f, t = np.divmod(at[t_star], last)  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
-        found.append((tot[t_star], c0 + f, blk[f, order[f, t]]))
+        # the block's first cut, even at +inf, and each cut below every earlier one; a NaN is kept
+        low = np.flatnonzero(np.concatenate(([True], ~(tot[1:] >= np.minimum.accumulate(tot[:-1])))))
+        f, t = np.divmod(at[low], last)  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
+        found.append((tot[low], c0 + f, blk[f, order[f, t]]))
     if not found:
         return None
     best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
-    i = int(np.argmax(best <= best.min() + tol))  # features in ascending order
+    i = int(np.argmax(best <= best.min() + tol))  # cuts in scan order
     return float(best[i]), int(feature[i]), float(theta[i])
 
 

@@ -627,8 +627,9 @@ def test_cluster_aggregates_track_kmeans_cost_through_moves(d, offset):
 
 def dense_prefix_scan(points, rows, score, tol):
     """Reference for `prefix_scan`: every sorted position of every feature is
-    scored, positions inside a tie are masked to inf, and each threshold is
-    read from the stably sorted values."""
+    scored, positions inside a tie are masked to inf, each threshold is read
+    from the stably sorted values, and the first valid position,
+    feature-major, within `tol` of the minimum wins (any, when it is NaN)."""
     left = np.arange(1, points.shape[0], dtype=np.float64)
     found = []
     for c0 in range(0, points.shape[1], _BLOCK):
@@ -640,14 +641,13 @@ def dense_prefix_scan(points, rows, score, tol):
             continue
         cums = [np.cumsum(row[order], axis=1)[:, :-1] for row in rows]
         tot = np.where(valid, score(cums, left), np.inf)
-        t_star = (tot <= tot.min(axis=1, keepdims=True) + tol).argmax(axis=1)  # first near-tie
-        width = np.arange(blk.shape[0])
-        found.append((tot[width, t_star], c0 + width, sv[width, t_star]))
+        feature = np.repeat(c0 + np.arange(blk.shape[0]), left.size)
+        found.append((tot.ravel(), valid.ravel(), feature, sv[:, :-1].ravel()))
     if not found:
         return None
-    best, feature, theta = (np.concatenate(parts) for parts in zip(*found))
-    i = int(np.argmax(best <= best.min() + tol))
-    return float(best[i]), int(feature[i]), float(theta[i])
+    tot, valid, feature, theta = (np.concatenate(parts) for parts in zip(*found))
+    i = int(np.argmax(valid & ~(tot > tot.min() + tol)))
+    return float(tot[i]), int(feature[i]), float(theta[i])
 
 
 def both_scans(pts, M, labels, n_labels):
@@ -724,7 +724,7 @@ def test_scan_scores_exactly_the_distinct_value_boundaries():
 
 def test_a_nan_score_takes_the_features_first_valid_cut():
     # only an overflowing cell scores NaN; then no cut is within tol of the
-    # feature's minimum, and the cut taken is the first between distinct
+    # minimum, and the cut taken is the scan's first between distinct
     # values, not sorted position 0 inside the leading tie of 0.0 and -0.0
     pts = np.array([[0.0], [-0.0], [1.0], [2.0]])
 
@@ -732,6 +732,62 @@ def test_a_nan_score_takes_the_features_first_valid_cut():
         return np.where(left == 3.0, np.nan, -left)
 
     assert repr(prefix_scan(pts, np.ones((1, 4)), score, 0.0)) == repr((-2.0, 0, -0.0))
+
+
+def test_a_nan_score_of_a_later_feature_takes_the_scans_first_cut():
+    # feature 0 is finite and best at its last cut, feature 1 scores NaN:
+    # the scan's first cut wins, not feature 0's best
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
+
+    def score(cums, left):
+        return np.array([-1.0, -2.0, -3.0, np.nan])
+
+    assert repr(prefix_scan(pts, np.ones((1, 4)), score, 0.0)) == repr((-1.0, 0, 0.0))
+
+
+def test_scores_of_inf_take_the_scans_first_cut():
+    # +inf is below no earlier cut, so each block keeps its first cut anyway
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+
+    def score(cums, left):
+        return np.full(left.size, np.inf)
+
+    assert prefix_scan(pts, np.ones((1, 3)), score, 0.0) == (np.inf, 0, 0.0)
+
+
+def test_near_ties_do_not_chain_across_features():
+    # feature 0 scores 1.5 then 0.6, feature 1 scores 0.0; at tol 1, 0.6 is
+    # the first cut within tol of the best, though 1.5 is within tol of 0.6
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+
+    def score(cums, left):
+        return np.array([1.5, 0.6, 0.0])
+
+    assert prefix_scan(pts, np.ones((1, 3)), score, 1.0) == (0.6, 0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(2, 12), st.integers(0, 10**6))
+def test_scan_takes_the_first_cut_within_tol_of_the_best(d, n, seed):
+    # scores in steps of 0.6 at tol 1 chain near-ties within and across
+    # features and blocks; the scan must match the first (feature, cut)
+    # within tol of the minimum, by brute force
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    cuts = [(float(v), j) for j in range(d) for v in np.unique(pts[:, j])[:-1]]
+    preset = 0.6 * rng.integers(0, 5, size=len(cuts))
+    handed = iter(preset)
+
+    def score(cums, left):
+        return np.array([next(handed) for _ in range(left.size)])
+
+    got = prefix_scan(pts, np.ones((1, n)), score, 1.0)
+    if not cuts:
+        assert got is None
+        return
+    i = next(i for i, s in enumerate(preset) if s <= preset.min() + 1.0)
+    theta, feature = cuts[i]
+    assert got == (float(preset[i]), feature, theta)
 
 
 def naive_expand(X, M, base, k_prime):
