@@ -42,9 +42,8 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
 
     def propose(leaf, ids, points, splittable):
         stats = cell_stats(points)
-        tree.set_leaf_label(leaf, best_center(stats, M)[0])
         split = _kd_split(points, stats) if splittable else None
-        return None if split is None else (ids.size, *split)
+        return best_center(stats, M)[0], None if split is None else (ids.size, *split)
 
     for _ in grow(X, tree, max_leaves, propose):
         pass
@@ -97,8 +96,8 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
 
     def propose(leaf, ids, points, splittable):
         cell_labels = labels[ids]
-        tree.set_leaf_label(leaf, _majority(cell_labels, n_labels))
-        return _gini_split(points, cell_labels, n_labels) if splittable else None
+        split = _gini_split(points, cell_labels, n_labels) if splittable else None
+        return _majority(cell_labels, n_labels), split
 
     for _ in grow(X, tree, max_leaves, propose):
         pass

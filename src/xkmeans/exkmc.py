@@ -4,10 +4,9 @@ The expansion repeatedly splits the leaf whose best split buys the
 largest drop in surrogate cost, labels the two children with their best
 reference centers, and rescans only those children. Because the centers
 never move, the per-leaf costs are independent and the whole loop needs no
-global recomputation. The loop itself is `tree.grow`, with the scan gain as
-each leaf's priority and as its split's gain in the trace; `expand` prices
-and labels each new cell with `best_center`, its one labeling rule. The
-scan ranks splits and prices the best one; it labels nothing.
+global recomputation. The loop itself is `tree.grow`: `expand` prices each
+new cell with `best_center`, its one labeling rule, and ranks its split by
+the scan's gain, which `grow` hands back as that step's gain in the trace.
 
 The split scan avoids evaluating every (threshold, center) pair from
 scratch. For a side S of the cell and a center mu,
@@ -232,15 +231,12 @@ def expand(
 
     leaf_cost: dict[int, float] = {}
     fresh: dict[int, tuple] = {}  # cell stats of the leaves not yet in `agg`
-    scanned: dict[int, SplitCandidate | None] = {}  # each leaf's split, ranked by its gain
 
     def propose(leaf, ids, points, splittable):
         fresh[leaf] = stats = cell_stats(points)
         label, leaf_cost[leaf] = best_center(stats, M)
-        if tree.nodes[leaf].label is None:  # a new child, or the root of an empty tree
-            tree.set_leaf_label(leaf, label)
-        cand = scanned[leaf] = scan_best_split(points, M, stats) if splittable else None
-        return None if cand is None else (cand.gain, cand.feature, cand.threshold)
+        cand = scan_best_split(points, M, stats) if splittable else None
+        return label, None if cand is None else (cand.gain, cand.feature, cand.threshold)
 
     splits = grow(X, tree, k_prime, propose)
     agg = _ClusterAggregates(M.k, X.d)  # grow proposed every base leaf already
@@ -250,7 +246,7 @@ def expand(
     initial_kmeans = agg.cost()
 
     trace: list[TraceStep] = []
-    for leaf in splits:
+    for leaf, gain in splits:
         node = tree.nodes[leaf]
         for child in (node.left, node.right):  # its points leave the parent's cluster
             stats, label = fresh.pop(child), tree.nodes[child].label
@@ -261,7 +257,7 @@ def expand(
         step = TraceStep(
             len(trace) + 1, leaf, node.feature, node.threshold,
             tree.nodes[node.left].label, tree.nodes[node.right].label,
-            scanned.pop(leaf).gain, float(sum(leaf_cost.values())), agg.cost(),
+            gain, float(sum(leaf_cost.values())), agg.cost(),
         )
         trace.append(step)
         if stop_condition is not None and stop_condition(step):

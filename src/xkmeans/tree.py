@@ -3,12 +3,12 @@
 The tree holds structure only. Which points sit in which cell is state of
 the builder that grows it, and `grow` is the one growth loop every greedy
 builder runs: it keeps the frontier's cells, splits them with `split_cell`
-(the mask that routing also applies), and asks the builder's callback to
-label each new leaf by the builder's own rule, with `set_leaf_label`
-(`split_leaf` makes unlabeled children), and to propose its split. It
-splits best-first, popping a heap keyed on (-priority, leaf id); leaf ids
-only grow, so among equal priorities the oldest leaf goes first. Any tree,
-built, cut or loaded, is in growth order (below): `cells` routes it in one pass.
+(the mask that routing also applies), and sets each leaf's label, with
+`set_leaf_label`, from the builder's callback, which prices the cell by the
+builder's own rule and proposes its split. It splits best-first, popping a
+heap keyed on (-priority, leaf id); leaf ids only grow, so among equal
+priorities the oldest leaf goes first. Any tree, built, cut or loaded, is
+in growth order (below): `cells` routes it in one pass.
 
 Routing is fixed everywhere as "x[feature] <= threshold goes left". Node ids
 are stable list indices (the root is always node 0) and are never reused;
@@ -44,23 +44,23 @@ def grow(
     X: DataMatrix,
     tree: ThresholdTree,
     max_leaves: int,
-    propose: Callable[[int, np.ndarray, np.ndarray, bool], tuple[float, int, float] | None],
-) -> Iterator[int]:
+    propose: Callable[[int, np.ndarray, np.ndarray, bool], tuple[int, tuple[float, int, float] | None]],
+) -> Iterator[tuple[int, float]]:
     """Grow `tree` best-first toward `max_leaves` leaves.
 
     `propose(leaf, ids, points, splittable)` is called once for every leaf:
     for each leaf of `tree` as given, before `grow` returns, and for each
-    child as it is made, left first. It labels the leaf (a child is made
-    unlabeled) and returns (priority, feature, threshold) for the cell's
-    split, or None when the cell cannot split. `points` are the rows `ids`
-    of X, and `X.points` itself for a cell that holds the whole dataset,
-    never a copy. `splittable` is False once the tree has `max_leaves`
-    leaves: such a leaf is never split, so it needs no split search.
+    child as it is made, left first. It returns (label, split): `grow` sets
+    the label on a leaf that has none (every child, and a bare root), and
+    split is (priority, feature, threshold), or None when the cell cannot
+    split. `points` are the rows `ids` of X, and `X.points` itself for a
+    cell that holds the whole dataset, never a copy. `splittable` is False
+    once the tree has `max_leaves` leaves: such a leaf is never split.
 
     Each item of the returned iterator is one split, of the frontier leaf
-    with the highest priority (ties: lowest leaf id), and is that leaf's id,
-    yielded once both children are proposed. Growth ends when the tree has
-    `max_leaves` leaves or no leaf can split, or when the caller stops.
+    with the highest priority (ties: lowest leaf id): (leaf id, priority as
+    proposed), yielded once both children are proposed. Growth ends when
+    the tree has `max_leaves` leaves or no leaf can split, or the caller stops.
     """
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
@@ -68,7 +68,9 @@ def grow(
 
     def visit(leaf: int, ids: np.ndarray) -> None:
         points = X.points if ids.size == X.n else X.points[ids]
-        split = propose(leaf, ids, points, tree.leaf_count < max_leaves)
+        label, split = propose(leaf, ids, points, tree.leaf_count < max_leaves)
+        if tree.nodes[leaf].label is None:
+            tree.set_leaf_label(leaf, label)
         if split is not None:
             priority, feature, threshold = split
             heapq.heappush(frontier, (-priority, leaf, feature, threshold, ids))
@@ -76,13 +78,13 @@ def grow(
     for leaf, ids in tree.cells(X).items():
         visit(leaf, ids)
 
-    def splits() -> Iterator[int]:
+    def splits() -> Iterator[tuple[int, float]]:
         while frontier and tree.leaf_count < max_leaves:
-            _, leaf, feature, threshold, ids = heapq.heappop(frontier)
+            key, leaf, feature, threshold, ids = heapq.heappop(frontier)
             children = tree.split_leaf(leaf, feature, threshold)
             for child, child_ids in zip(children, split_cell(X, ids, feature, threshold)):
                 visit(child, child_ids)
-            yield leaf
+            yield leaf, -key
 
     return splits()
 

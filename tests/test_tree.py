@@ -225,27 +225,66 @@ def test_grow_splits_best_first_and_visits_each_leaf_once(max_leaves, splits, se
 
     def propose(leaf, ids, points, splittable):
         visited.append(leaf)
-        tree.set_leaf_label(leaf, 0)
         if ids.size == X.n:
             assert points is X.points  # the whole dataset is never copied
         else:
             assert np.array_equal(points, X.points[ids])
         if not splittable:
-            return None
+            return 0, None
         searches.append(leaf)
         if ids.size < 2:
-            return None
+            return 0, None
         # equal priorities everywhere: the lowest leaf id must go first
-        return 1.0, 0, float(points[(ids.size - 1) // 2, 0])
+        return 0, (1.0, 0, float(points[(ids.size - 1) // 2, 0]))
 
     steps = grow(X, tree, max_leaves, propose)
     assert visited == [0]  # the starting leaves are proposed before grow returns
-    assert list(steps) == splits
+    assert list(steps) == [(leaf, 1.0) for leaf in splits]
     assert tree.leaf_count == len(splits) + 1 <= max_leaves
     assert sorted(visited) == list(range(len(tree.nodes)))
     # a leaf made at the budget is labeled but gets no split search
     assert sorted(searches) == searched
+    assert all(tree.nodes[i].label == 0 for i in tree.leaf_ids())
 
+
+@pytest.mark.parametrize("base_label", [None, 2])
+def test_grow_labels_every_unlabeled_leaf_and_keeps_a_base_label(base_label):
+    tree = ThresholdTree()
+    if base_label is not None:
+        tree.set_leaf_label(tree.root, base_label)
+
+    def propose(leaf, ids, points, splittable):
+        # a label no leaf had: the one grow must write
+        split = (1.0, 0, 2.0) if leaf == 0 else None
+        return 10 + leaf, split
+
+    assert tree.nodes[tree.root].label == base_label  # before grow writes it
+    steps = grow(FOUR_POINTS, tree, 3, propose)
+    assert tree.nodes[tree.root].label == (10 if base_label is None else base_label)
+    assert list(steps) == [(0, 1.0)]
+    assert [tree.nodes[i].label for i in tree.leaf_ids()] == [11, 12]
+    # the split root keeps its label, so a prefix reads it back
+    assert tree.prefix(1).nodes[0].label == tree.nodes[tree.root].label
+
+
+def test_grow_yields_each_priority_as_proposed_bit_for_bit():
+    # each split peels the lowest point off a line, so every proposed split
+    # is taken in turn; signed zeros, subnormals and negatives keep their bits
+    priorities = [0.0, -0.0, -1.5, 5e-324, -5e-324, 0.1 + 0.2, -(0.1 + 0.2), 1e308, -1e-300]
+    X = DataMatrix(np.arange(len(priorities) + 1, dtype=np.float64)[:, None])
+    proposed = {}
+
+    def propose(leaf, ids, points, splittable):
+        if ids.size < 2:
+            return 0, None
+        proposed[leaf] = priorities[len(proposed) % len(priorities)]
+        return 0, (proposed[leaf], 0, float(points[0, 0]))  # peel off the lowest point
+
+    steps = list(grow(X, ThresholdTree(), X.n, propose))
+    assert len(steps) == len(priorities)
+    for leaf, priority in steps:
+        assert type(priority) is float
+        assert np.float64(priority).tobytes() == np.float64(proposed[leaf]).tobytes()
 
 
 @pytest.mark.parametrize("max_leaves", [0, -1])
