@@ -145,9 +145,11 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
         return None
     # centered, the identity's terms are the size of the cell's spread
     centers = M.centers - mean
-    P = (points - mean) @ centers.T
+    # center-major, one contiguous row of inner products per center; einsum,
+    # not BLAS, so the bits do not depend on the BLAS thread count
+    P = np.einsum("ij,kj->ki", points - mean, centers)
     m2 = np.einsum("ij,ij->i", centers, centers)
-    s_tot = P.sum(axis=0)
+    s_tot = P.sum(axis=1)
     sumsq = float(ss.sum())
     pre_score = float((-2.0 * s_tot + m * m2).min())
     tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
@@ -159,8 +161,7 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
         rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + m2[j] * right for j, c in enumerate(cums)))
         return lbest + rbest
 
-    # center-major: one contiguous row of inner products per center
-    found = prefix_scan(points, np.ascontiguousarray(P.T), side_costs, tol)
+    found = prefix_scan(points, P, side_costs, tol)
     if found is None:
         return None
     score, feature, theta = found
@@ -192,7 +193,7 @@ class _ClusterAggregates:
             self.count[j], self.mean[j], self.W[j] = 0, 0.0, 0.0
             return
         delta = mean - self.mean[j]
-        self.W[j] += sign * (ss.sum() + n_old * m / n * float(delta @ delta))
+        self.W[j] += sign * (ss.sum() + n_old * m / n * float(np.einsum("i,i->", delta, delta)))
         self.mean[j] += sign * m / n * delta
         self.count[j] = n
 

@@ -723,6 +723,19 @@ def test_console_script_runs_are_reproducible(tmp_path):
     assert trace_a == trace_b
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 400 features: a threaded BLAS splits products this long across its
+    # threads, and so sums them in an order that depends on their count
+    argv = [sys.executable, "-m", "xkmeans.cli", "run", "--synth", "synthetic2", "--k", "4", "--d", "400",
+            "--leaves", "k,4k"]
+    for threads in ("1", "2"):
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(argv + ["--out", str(tmp_path / threads)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert _rows_without_time(tmp_path / "1") == _rows_without_time(tmp_path / "2")
+    assert _run_files(tmp_path / "1") == _run_files(tmp_path / "2")
+
+
 def test_tracer_reports_layer_counters(tmp_path):
     # the benchmark's traced run reads builder arguments (the IMM node
     # state's point ids, the scanned cell) and wraps every public tree

@@ -65,9 +65,9 @@ GOLDEN = {
         "trace_exkmc_imm_k12.jsonl": "2526ae08d1e666fbb7d18003ac2f1510ab6a382d1075aa1eb0bf0a367d28f765",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k6.jsonl": "2d42812061dbfbe3ed8539ea462024fcd0f5663d73e2e9b1231dbc78607eb7a5",
-        "trace_exkmc_k12.jsonl": "530ff4317a04491b3a01d4fd24d3e96478b8151a45fd22e1dd7ff2ebe46f70c1",
-        "trace_exkmc_k3.jsonl": "29b0af6170e6dfd06d36a793a7df6656c88c59155ed1be1eaeafffbfd5047745",
-        "trace_exkmc_k6.jsonl": "20e6c3cc5ce177cf4a2926d0accf0683b81dd544c525eeb556e5a59c0fd47d01",
+        "trace_exkmc_k12.jsonl": "607548913475b8cff2ad75f6e75ab13bfcea9689c0db638d167fc870fbd5e494",
+        "trace_exkmc_k3.jsonl": "bc954abd64ad71d89a1ead09e312de6424badb3014723bf956bca377515d9c3f",
+        "trace_exkmc_k6.jsonl": "8a8e15299baebf194028c5b972393e44d8fd814e4d56e3073dc01d3782d30a9d",
         "tree_exkmc_imm_k12.dot": "05d763cb7dcecdf08ccb6033f01434da93108b8cefe7bd31acb9db0e07be0332",
         "tree_exkmc_imm_k12.json": "59f880afcf37915c51acbafd5756760f3b2a00e44844943f26824dccf4db4e82",
         "tree_exkmc_imm_k3.dot": "42f67c986b89c763f90a5c1fa3bb2283852b41e22ea2f09fe51f7f45fc809792",
@@ -104,9 +104,9 @@ GOLDEN = {
         "trace_exkmc_imm_k16.jsonl": "2657f91cfab3ce78cbd1b62cb689427810a484ae4084a33537a571832f611aaa",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k8.jsonl": "0e2e5abbf11138ef096643f117dd7ec55ccf698b8efe81404807f6ab9f9a8932",
-        "trace_exkmc_k16.jsonl": "5efeaa80a82b88ffb7f4ddc9f4f95a3f64fc76d3e126359f782273a0d5ec930d",
-        "trace_exkmc_k4.jsonl": "a0effa14c4ddbf5514702527c3006e6a641b502ed677f43f67474eec72e5eacc",
-        "trace_exkmc_k8.jsonl": "68b7706b137d646e9e697956340a7ab8c2458e297fb8a15a4bc5ba73b41c85d7",
+        "trace_exkmc_k16.jsonl": "89696f6d5a6d34734c6e16d60612db59282506e2ae5a640856cedc7206353f24",
+        "trace_exkmc_k4.jsonl": "5b21ebf38d642dc490ec368c5498ba6457f987d42398b4fa63fe2828e3dd4bdd",
+        "trace_exkmc_k8.jsonl": "587ab1d98bdf8c46391502736d58f890b991e88dc4a804c8b56a4a2571a905d4",
         "tree_exkmc_imm_k16.dot": "33d056094c2f822d3f118f28bb078b86548c9b294172b295b82086f3a682a2d7",
         "tree_exkmc_imm_k16.json": "10cb0e4ec7f25f6539d4eed8dc92473ac63d8b827bdf4d0579efa93959969266",
         "tree_exkmc_imm_k4.dot": "ae8c09eeff21b8e5e46b49bea6bd77ef2ee807461d815f103fc79eb07ffba194",
@@ -140,12 +140,12 @@ GOLDEN = {
     },
     "blobs_deep_seed0": {
         "results.csv": "ec014dd8f4bfcf444dffd846ccce2773fa48873a43af17be7e9eeace93f952d4",
-        "trace_exkmc_imm_k1500.jsonl": "109557168656bbc4cc2f1822b8b096d6eb00bef55a372d8ba8d3c7ca44c6f909",
+        "trace_exkmc_imm_k1500.jsonl": "54b243905a199f67caf1df593f285644291baebcaed82e48278a85b5cc33aaea",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k500.jsonl": "975dc8d25ead9b55d0fcb2a763a610d7162b435720943192a23f9f6ab3dd7ae9",
-        "trace_exkmc_k1500.jsonl": "3fa8be3743659da959996150a9c1d34101c4500aedd997fd3a5ec04edcf3ab44",
-        "trace_exkmc_k4.jsonl": "1f415ae752ab5a9e702392f17a1d87756191aec5e6ed6845c1b3dfd8f8374e92",
-        "trace_exkmc_k500.jsonl": "3d7a2b92431a05b775fa646a48f8a4158de4ae65627a24981f80a5ba2d1bc054",
+        "trace_exkmc_imm_k500.jsonl": "3d08254c4020ad4fec071b3bc6a21d45037fc601406d782400e2803cd883d941",
+        "trace_exkmc_k1500.jsonl": "75d2432cefb4e8233eda1bc0399fc04505814401c5bdef04c247e16617b2e852",
+        "trace_exkmc_k4.jsonl": "4c4755f07a828ba51342a5cc32d5540fa89157432df2ca1f6a45e23180665cde",
+        "trace_exkmc_k500.jsonl": "b777c99d5148b6da6271f53e070aa734a80e0d5262dd9febd434968a06169225",
         "tree_exkmc_imm_k1500.dot": "7782c87061892f8bddf264f217a00c4939b6f0972bef59f993c0ba0d74cc71c9",
         "tree_exkmc_imm_k1500.json": "bd417729ee898cb95c73d7d531bb3ce797830fe74f59f9b21c7717d15adaa4b8",
         "tree_exkmc_imm_k4.dot": "376ef17119eb5336a8cdc3cd77a3dffdba10a16793220de3af0a73c9c7ceb7c3",
@@ -179,12 +179,12 @@ GOLDEN = {
     },
     "blobs_deep_seed0_jobs3": {
         "results.csv": "ec014dd8f4bfcf444dffd846ccce2773fa48873a43af17be7e9eeace93f952d4",
-        "trace_exkmc_imm_k1500.jsonl": "109557168656bbc4cc2f1822b8b096d6eb00bef55a372d8ba8d3c7ca44c6f909",
+        "trace_exkmc_imm_k1500.jsonl": "54b243905a199f67caf1df593f285644291baebcaed82e48278a85b5cc33aaea",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k500.jsonl": "975dc8d25ead9b55d0fcb2a763a610d7162b435720943192a23f9f6ab3dd7ae9",
-        "trace_exkmc_k1500.jsonl": "3fa8be3743659da959996150a9c1d34101c4500aedd997fd3a5ec04edcf3ab44",
-        "trace_exkmc_k4.jsonl": "1f415ae752ab5a9e702392f17a1d87756191aec5e6ed6845c1b3dfd8f8374e92",
-        "trace_exkmc_k500.jsonl": "3d7a2b92431a05b775fa646a48f8a4158de4ae65627a24981f80a5ba2d1bc054",
+        "trace_exkmc_imm_k500.jsonl": "3d08254c4020ad4fec071b3bc6a21d45037fc601406d782400e2803cd883d941",
+        "trace_exkmc_k1500.jsonl": "75d2432cefb4e8233eda1bc0399fc04505814401c5bdef04c247e16617b2e852",
+        "trace_exkmc_k4.jsonl": "4c4755f07a828ba51342a5cc32d5540fa89157432df2ca1f6a45e23180665cde",
+        "trace_exkmc_k500.jsonl": "b777c99d5148b6da6271f53e070aa734a80e0d5262dd9febd434968a06169225",
         "tree_exkmc_imm_k1500.dot": "7782c87061892f8bddf264f217a00c4939b6f0972bef59f993c0ba0d74cc71c9",
         "tree_exkmc_imm_k1500.json": "bd417729ee898cb95c73d7d531bb3ce797830fe74f59f9b21c7717d15adaa4b8",
         "tree_exkmc_imm_k4.dot": "376ef17119eb5336a8cdc3cd77a3dffdba10a16793220de3af0a73c9c7ceb7c3",
@@ -221,9 +221,9 @@ GOLDEN = {
         "trace_exkmc_imm_k1500.jsonl": "e5d6668cc27dfd11b3ba81f78125ec30b071fbe8ab78db6fb048e578cddf0131",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k500.jsonl": "05db79bcf18d85efa9dcae4c8c77b9f48dd0b61d6893e9d209410623a4181ef0",
-        "trace_exkmc_k1500.jsonl": "0407b719617bc6005d805d7c241c7fa02e25ba7ed678df408617b556b37a3dc1",
-        "trace_exkmc_k4.jsonl": "55977a6075f3c51fc6e38a600050d6ecdd1706f679919e0a2561bc7a4f40e728",
-        "trace_exkmc_k500.jsonl": "26ac58f70bdd93072644c9b4611309afa7adb7f74dd3a123b0d52caec07c70a0",
+        "trace_exkmc_k1500.jsonl": "fa896dce47d28b7d3e76ca223e9ce4291f336409a26de85bc12840a866424f3a",
+        "trace_exkmc_k4.jsonl": "0b8da056f79c294769a0ffb50bd327c449d1db72dfa4ca6df977d3262fa05cb6",
+        "trace_exkmc_k500.jsonl": "8fdd0abbc4cc001ed128a3df8232cdee5810c19cb025903085c0dd363e85dcdb",
         "tree_exkmc_imm_k1500.dot": "68f0545aac9a824c84847086bb23a52818e1824ec694087321ee7cf51220bf4a",
         "tree_exkmc_imm_k1500.json": "72b6a1e353f86f089eb39304ba4480120dc50422261e9ea82646690e3da5adf7",
         "tree_exkmc_imm_k4.dot": "4b9f740a383492e1279025ded3d6ea7327a963bb57b3ea769bb95276e86e130c",
@@ -260,9 +260,9 @@ GOLDEN = {
         "trace_exkmc_imm_k16.jsonl": "2a8ce98d71f51f7ff66a67b45b2177ad27b19e72b25abd85267eccbc999577e4",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_exkmc_imm_k8.jsonl": "caaad32391c1d387dd3d6564877d3bee0a548ff93fd151c9804f5f7ca656a977",
-        "trace_exkmc_k16.jsonl": "e0aee688d1c87a2f552a972917ff553d21ff190dde5e9f42f7ac1c3361819ee1",
-        "trace_exkmc_k4.jsonl": "db0bb81e7aed7de2aef7d9d4d44f6a6de8446465ca00d4dc132d6665fb6ebc5b",
-        "trace_exkmc_k8.jsonl": "bab7acc43bd2369538f06e34543ec9d09b4c742c38cf003107cdf4a5917c055a",
+        "trace_exkmc_k16.jsonl": "64a3ae6ace5d738930fc0843486f9da9f604fe929b2cffdb4d13dff7fedad080",
+        "trace_exkmc_k4.jsonl": "c4a2f2532b1ec0fbb05996c56c99a26b45ab31c2c48e83f76924d794af8829b2",
+        "trace_exkmc_k8.jsonl": "04d44bd09e794caa1d556d347652124359d86bd6b8a35545b79856a09b7a6ca8",
         "tree_exkmc_imm_k16.dot": "590ef09f38b701c94d4dbd278876fee04cbd92dba2fa592e234ba845ea4f1545",
         "tree_exkmc_imm_k16.json": "d7e29273d5384127a011fceb31430cf39534bc9782fae7ecd55fbafbf3beb212",
         "tree_exkmc_imm_k4.dot": "22f350b5b9a60aff1ab16ac0a8b7ad0aa3ce59687677d40a467ebddfa24f142b",
@@ -296,12 +296,12 @@ GOLDEN = {
     },
     "blobs_tall_seed7": {
         "results.csv": "4c1a4f7e3426e3fda37100f444dfe4fae5abf1c0db4c261d65236a5afac53acc",
-        "trace_exkmc_imm_k16.jsonl": "d41553d264a3471056e7068d2af63fca3f715c748c3ad107cf634d780ca1a30e",
+        "trace_exkmc_imm_k16.jsonl": "084510db43962e267f002f97fcf93d8bcd2517c934cfc9ae25704268f4679de7",
         "trace_exkmc_imm_k4.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k8.jsonl": "22ecbde04c15c9db8ab295f9c5f4ab457f14ad328609868df6646c090233241d",
-        "trace_exkmc_k16.jsonl": "06c967840aaeb8095dc2b11c1febd1ae1c1ed816a504ee4121340ed787381a40",
-        "trace_exkmc_k4.jsonl": "0058bc46ad177c665e53c06b8a29378b48aa54049760daf70b9354d2b439834d",
-        "trace_exkmc_k8.jsonl": "c202a0fdbc76d82a5d0691b6bcc8863106a56f6dd7030147e035333646f97e4e",
+        "trace_exkmc_imm_k8.jsonl": "267c7b389c8b4d6e01d35bc7d76088cf591cf6d699761584df75d822f6a3f820",
+        "trace_exkmc_k16.jsonl": "1ec7e1ee49c337be0154be2b268a49297ae493a06476b0745e795dc89f8c759a",
+        "trace_exkmc_k4.jsonl": "16a29c9e7abee0a80929735ab49f6129bc2c290317299561fd39d584171ebcbc",
+        "trace_exkmc_k8.jsonl": "c62f607b5942c9d776748cdc837932e8d714c57307686ee5900bab23f812db3c",
         "tree_exkmc_imm_k16.dot": "2616f7a540c3a75b893aba18e86862d0383436b8fa79a0682a03c595f9e42bf3",
         "tree_exkmc_imm_k16.json": "13df448a143399661080d6960f1646a1965b67fc7592134f5def4038db02d693",
         "tree_exkmc_imm_k4.dot": "4c6523d82a08ed838611ff76b3bd3d45c422e5b7c43c2bb826379544e09d913d",
@@ -336,9 +336,9 @@ GOLDEN = {
     "iris": {
         "results.csv": "7ddcb5f8e83cd6728eaf753b93bf0ec3cc2c87d589daedec4a4c8cd535c97016",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k6.jsonl": "017579d74a624f34aac88cb9fa93b0defbc907771bc607a6426f91c20c1f4456",
+        "trace_exkmc_imm_k6.jsonl": "f46fe00538687bdfd7fe39e2a1dea1b580158b507646fca48ae8928b254dcb35",
         "trace_exkmc_k3.jsonl": "9ec9a9fa5bb1d7cfd0bf151da5f3d48e153c8aaed397a95d39d068019960e011",
-        "trace_exkmc_k6.jsonl": "1dc4ac736a3f6a51adf109db497111cb6ed8729dedd324ce5a222a3720481b84",
+        "trace_exkmc_k6.jsonl": "7051426199bd4ad6cc3c66aeea88d2a4135be763c9d4c1c2f83fd06df270c354",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
         "tree_exkmc_imm_k3.json": "379e549bfdec06a682fd3daccdaf2852f445cc1cbee8c8ffa8e47af562b7e548",
         "tree_exkmc_imm_k6.dot": "775fb47dd33eb0f595d04e6c4322ee148bcce8854846d1240e1a7ffca0c9bccf",
@@ -362,12 +362,12 @@ GOLDEN = {
     },
     "iris_deep": {
         "results.csv": "e7222a287a0edced81bc095a0210fc9d48bc174f2342c643b0588f8932f73100",
-        "trace_exkmc_imm_k150.jsonl": "89c398b6fa8c2d8874ca076faade85b4dc9c4b092f169eb7551e27a3f23e953a",
+        "trace_exkmc_imm_k150.jsonl": "e9aff76d7b8e571d50949cf864487063e140085fd76179566e1384ea5262faa3",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_imm_k40.jsonl": "4dcf3b8bb9dc5b4f0e82cf97decfc8a05786c159d719009d55f41190cac59725",
-        "trace_exkmc_k150.jsonl": "be8c340ab921381fb29aa934fcf14b2b9bba8ea646e62117fe7a8539221a33e8",
+        "trace_exkmc_imm_k40.jsonl": "b7f8546c2da9b2c0a52043b77043a101e0721f6d6df9d673d08c768ccbd8fd1a",
+        "trace_exkmc_k150.jsonl": "0b54475d092cb5a7da3c6586383d1df2666900cc721bf4b6a4ac3792bd2d52c9",
         "trace_exkmc_k3.jsonl": "9ec9a9fa5bb1d7cfd0bf151da5f3d48e153c8aaed397a95d39d068019960e011",
-        "trace_exkmc_k40.jsonl": "830ac8d69708df08a36232cc84ccdf9a9f11d20ca1135a76eee1fe855f5ae025",
+        "trace_exkmc_k40.jsonl": "8e12782316961ea6aada264e5be1e8a398721daa6c8ec18883ce81126083c919",
         "tree_exkmc_imm_k150.dot": "f3b89f74735907361aa9f34114a0aa0c64e3fc6493bd58b359b30727184660fc",
         "tree_exkmc_imm_k150.json": "5d3efcf7970e6c356ec9f55882889ce89e9ece1e831ef15695b3d77e1b5195f1",
         "tree_exkmc_imm_k3.dot": "018449117417f7a15abe890ba2e04165a28e1190e06ce5803ca6ab27db03cc8a",
@@ -401,7 +401,7 @@ GOLDEN = {
     },
     "outlier_wide_seed0": {
         "results.csv": "36b43ecfbff9592952b84d1f1869819e277777991294bcbc0cbe49758c46b399",
-        "trace_exkmc_imm_k12.jsonl": "f2c1d774db8b53f87819797aa3f0e6abdd0cd66e23e497185051b05f8216c889",
+        "trace_exkmc_imm_k12.jsonl": "7c357650daab90594e607e04524d24c9837bb1ec2a86da4cc2048aa385e188ea",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "tree_exkmc_imm_k12.dot": "7773ce898d14452a64a05a0e33b84ea1bca583d0cb0abaf549150bf69c4cac73",
         "tree_exkmc_imm_k12.json": "fc251c7b837ee24fb42efaadab249a9b1f9d2f14017c14f30335726e46bf79db",
@@ -422,7 +422,7 @@ GOLDEN = {
     },
     "outlier_wide_seed7": {
         "results.csv": "e33c675f16ef931f8435cc93075aeda3c7765af62886fa0cc39b444df985b84b",
-        "trace_exkmc_imm_k12.jsonl": "17153afd94153cd6925f4fd33dcee1d3de5b8200cceb4566cafea1cb5c2c3c34",
+        "trace_exkmc_imm_k12.jsonl": "21ce37362dd924b24575eef524b9316b0412c7b1af1ccf0c4a30512930131df7",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "tree_exkmc_imm_k12.dot": "598fda20e6600f9e2ad01bb0cbf894a0715eb4889389cfabbe0ca2698841240b",
         "tree_exkmc_imm_k12.json": "0efad03f1fe7fa8997855df738381ae1db0e07106d2bb899e251bb4b71c4c138",
@@ -443,10 +443,10 @@ GOLDEN = {
     },
     "synthetic2_wide": {
         "results.csv": "532cdb9c37a8c65815135526cf945e239032ec53e92b7db1712e6b0764fd2edd",
-        "trace_exkmc_imm_k12.jsonl": "f599a09c797929a7199b19fc0a867bdbd3fe570827e047deff8b7efd7c731017",
+        "trace_exkmc_imm_k12.jsonl": "23a3706b67a94078c831ff516dfdb6b175c1ccd77aaba22d54fda2b4c14e8c63",
         "trace_exkmc_imm_k3.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "trace_exkmc_k12.jsonl": "2b0c40857fc86519347a18d4a4f26b469eaa03b6fc01c0d7669215f0a6cc8e59",
-        "trace_exkmc_k3.jsonl": "e55d7fe8162d861e04fb4ba6ca8bec3a25d36391f2847456ac7843261ffea58c",
+        "trace_exkmc_k12.jsonl": "0d57d4fe121927331a0babb517cdd62d40d36397d8147914740020e7c26ebe0e",
+        "trace_exkmc_k3.jsonl": "b5fbfd5ea1449e90e097c5ae248f76b3759a241ae750f13441e30a42f736882b",
         "tree_exkmc_imm_k12.dot": "fb5b224c2ce9fdee5832ddd4c60ca6af8fa8d14e3170ceeda1c558d86de86a80",
         "tree_exkmc_imm_k12.json": "7e3cb59cf75815bc246b42c7419eed6c69316bf509af19784d943166a5550f0e",
         "tree_exkmc_imm_k3.dot": "4d368b1090ee00e93c841e2ff77ab902ef14c379121eb1cf03361f90a0db6661",
