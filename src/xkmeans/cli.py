@@ -135,14 +135,14 @@ def _csv_row(method, k_prime, scores, wall_time_ms) -> list:
 
 def _build_group(X, reference, methods, budgets) -> dict:
     """Build a group's methods at the largest budget and score each budget; a
-    tree that repeats the previous budget's keeps its scores. Returns
-    method -> (ms, trace, base leaves, [(tree, scores)])."""
+    tree whose JSON the group has scored keeps those scores. Returns
+    method -> (ms, trace, base leaves, [(tree, json, scores)])."""
     started, imm_base = time.perf_counter(), None
     if any(m in _IMM_FAMILY for m in methods):
         imm_base = build_imm(X, reference.centers, reference.assignment)
     base_s = time.perf_counter() - started
 
-    built = {}
+    built, scores = {}, {}  # scores by tree JSON: imm's tree is exkmc_imm's at k
     for method in methods:
         # the shared base build is part of imm's and exkmc_imm's construction
         started = time.perf_counter() - (base_s if method in _IMM_FAMILY else 0.0)
@@ -165,8 +165,10 @@ def _build_group(X, reference, methods, budgets) -> dict:
             # greedy growth is prefix-closed: the tree at a smaller budget is
             # the first splits of the largest build; imm has one k-leaf tree
             tree = full if method == "imm" else full.prefix(budget)
-            same = scored and scored[-1][0].leaf_count == tree.leaf_count
-            scored.append((tree, scored[-1][1] if same else _score(X, tree, reference)))
+            text = tree.to_json()
+            if text not in scores:
+                scores[text] = _score(X, tree, reference)
+            scored.append((tree, text, scores[text]))
         built[method] = (elapsed_ms, trace, base_leaves, scored)
     return built
 
@@ -192,7 +194,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     by_method = {method: out for group in built for method, out in group.items()}
     costs = []
     for _, trace, _, scored in by_method.values():
-        costs += [c for _, scores in scored for c in scores[:2]]
+        costs += [c for *_, scores in scored for c in scores[:2]]
         costs += [c for t in trace or () for c in (t.gain, t.surrogate_cost, t.kmeans_cost)]
     if not np.isfinite(costs).all():
         raise ValueError(_OVERFLOW)
@@ -204,10 +206,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
         writer.writerow(_csv_row("reference", config.k, (reference.cost, reference.cost, 1.0, 1.0, config.k), 0.0))
         for method in config.methods:
             elapsed_ms, trace, base_leaves, scored = by_method[method]
-            for budget, (tree, scores) in zip(config.budgets, scored):
+            for budget, (tree, text, scores) in zip(config.budgets, scored):
                 writer.writerow(_csv_row(method, budget, scores, elapsed_ms))
                 stem = f"{method}_k{budget}"
-                (out_dir / f"tree_{stem}.json").write_text(tree.to_json() + "\n")
+                (out_dir / f"tree_{stem}.json").write_text(text + "\n")
                 (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
                 if trace is not None:
                     steps = trace[: budget - base_leaves]

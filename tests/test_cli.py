@@ -428,15 +428,22 @@ def test_each_distinct_tree_is_scored_once(tmp_path, monkeypatch):
     scored = []
     real = cli._score
     monkeypatch.setattr(cli, "_score", lambda X, tree, ref: scored.append(tree.leaf_count) or real(X, tree, ref))
-    # three distinct points: exkmc stops at 3 leaves, so budgets 5 and 6 share one tree
+    # three distinct points: the expansions stop at 3 leaves, so budgets 5 and 6 share one tree
     data = tmp_path / "dups.csv"
     data.write_text("0,0\n0,0\n1,1\n1,1\n5,5\n")
-    out = tmp_path / "out"
-    code = main(["run", "--data", str(data), "--k", "2", "--leaves", "2,5,6", "--methods", "imm,exkmc", "--out", str(out)])
-    assert code == 0
-    assert scored == [2, 2, 3]  # imm once, exkmc at 2 and 3 leaves
-    rows = [row[2:] for row in _rows_without_time(out)[2:]]
-    assert rows[0] == rows[1] == rows[2] and rows[4] == rows[5] != rows[3]
+    for methods, leaf_counts in [
+        ("imm,exkmc", [2, 2, 3]),  # imm once, exkmc at 2 and 3 leaves
+        ("imm,exkmc_imm", [2, 3]),  # exkmc_imm's 2-leaf prefix is imm's tree
+    ]:
+        scored.clear()
+        out = tmp_path / methods
+        argv = ["run", "--data", str(data), "--k", "2", "--leaves", "2,5,6", "--methods", methods, "--out", str(out)]
+        assert main(argv) == 0
+        assert scored == leaf_counts
+        rows = [row[2:] for row in _rows_without_time(out)[2:]]
+        assert rows[0] == rows[1] == rows[2] and rows[4] == rows[5] != rows[3]
+    assert rows[3] == rows[0]
+    assert (out / "tree_exkmc_imm_k2.json").read_bytes() == (out / "tree_imm_k2.json").read_bytes()
 
 
 @pytest.mark.parametrize("source", ["iris", "blobs"])
