@@ -41,6 +41,14 @@ RESULT_COLUMNS = (
     "wall_time_ms",  # last: benchmarks/check.py drops it before digesting
 )
 _OVERFLOW = "a cost overflows float64; scale the data down"
+# the fields each data source reads (None: a csv file) with their defaults, and their flags
+_SOURCE_READS = {
+    None: {"columns": None},
+    "synthetic1": {},
+    "synthetic2": {"synth_d": 1024},
+    "blobs": {"synth_d": 1024, "synth_n": 500, "separation": 5.0},
+}
+_FLAGS = {"columns": "--columns", "synth_d": "--d", "synth_n": "--n", "separation": "--separation"}
 
 
 @dataclass
@@ -49,9 +57,10 @@ class ExperimentConfig:
     data: str | None = None
     columns: list[int] | None = None
     synth: str | None = None
-    synth_d: int = 1024
-    synth_n: int = 500
-    separation: float = 5.0
+    # None takes the source's default; a source that does not read a field rejects a value
+    synth_d: int | None = None
+    synth_n: int | None = None
+    separation: float | None = None
     budgets: list[int] = field(default_factory=list)
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     out: str = "results"
@@ -65,6 +74,15 @@ class ExperimentConfig:
             raise ValueError("jobs must be at least 1")
         if (self.data is None) == (self.synth is None):
             raise ValueError("exactly one of a csv path or a synthetic spec is required")
+        if self.synth not in _SOURCE_READS:
+            raise ValueError(f"unknown synthetic dataset {self.synth!r}; choose synthetic1, synthetic2, or blobs")
+        reads = _SOURCE_READS[self.synth]
+        for name, flag in _FLAGS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, reads.get(name))
+            elif name not in reads:
+                source = "--data" if self.synth is None else f"--synth {self.synth}"
+                raise ValueError(f"{source} does not read {flag}")
         if not self.budgets:
             self.budgets = [self.k * m for m in (1, 2, 3, 4)]
         if self.budgets[0] < 1 or any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
@@ -104,12 +122,9 @@ def _load_dataset(config: ExperimentConfig) -> DataMatrix:
         return gen_synthetic_i(seed=config.seed)
     if name == "synthetic2":
         return gen_synthetic_ii(config.k, config.synth_d, seed=config.seed)[0]
-    if name == "blobs":
-        X, _ = gen_gaussian_blobs(
-            config.k, config.synth_n, config.synth_d, config.separation, seed=config.seed
-        )
-        return X
-    raise ValueError(f"unknown synthetic dataset {name!r}; choose synthetic1, synthetic2, or blobs")
+    # blobs, the last name the config accepts
+    X, _ = gen_gaussian_blobs(config.k, config.synth_n, config.synth_d, config.separation, seed=config.seed)
+    return X
 
 
 def _score(X, tree, reference) -> tuple:
@@ -238,9 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--jobs", type=int, default=1, help="worker threads: k-means restarts, then method builds")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--d", type=int, default=1024, help="synthetic dimensionality")
-    run.add_argument("--n", type=int, default=500, help="blob dataset size")
-    run.add_argument("--separation", type=float, default=5.0, help="blob center separation")
+    run.add_argument("--d", type=int, help="dimensionality of synthetic2 and blobs (default 1024)")
+    run.add_argument("--n", type=int, help="blob dataset size (default 500)")
+    run.add_argument("--separation", type=float, help="blob center separation (default 5.0)")
 
     explain = sub.add_parser("explain", help="explain one point's cluster assignment")
     explain.add_argument("--tree", required=True, help="tree json produced by run")

@@ -188,6 +188,26 @@ class TestCliEntry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, flag",
+        [
+            ("synthetic1", "--d"),
+            ("synthetic1", "--n"),
+            ("synthetic1", "--separation"),
+            ("synthetic2", "--n"),
+            ("synthetic2", "--separation"),
+            ("blobs", "--columns"),
+            (None, "--d"),  # a csv file
+        ],
+    )
+    def test_a_flag_the_source_does_not_read_exits_1_before_any_output(self, tmp_path, capsys, source, flag):
+        out = tmp_path / "out"
+        given = ["--data", str(IRIS)] if source is None else ["--synth", source]
+        assert main(["run", *given, "--k", "3", flag, "2", "--leaves", "k", "--out", str(out)]) == 1
+        named = "--data" if source is None else f"--synth {source}"
+        assert capsys.readouterr().err == f"error: {named} does not read {flag}\n"
+        assert not out.exists()
+
     def test_zero_cost_reference_gives_nan_ratios(self, tmp_path):
         # three distinct points at k = 3: the reference costs 0, so no
         # method's cost can be put as a ratio of it
@@ -647,9 +667,10 @@ def test_fuzzed_csv_exits_0_or_1_with_one_error_line(text, columns, k, leaves, m
     st.integers(1, 4),
 )
 def test_fuzzed_flags_exit_0_or_1_with_one_error_line(synth, k, n, d, separation, leaves, methods, seed, jobs):
-    # synthetic sets of at most 80 points, so that no example is slow or large
-    argv = ["run", f"--synth={synth}", "--out={dir}/out", f"--k={k}", f"--n={n}", f"--d={d}",
-            f"--separation={separation}", f"--seed={seed}", f"--jobs={jobs}"]
+    # synthetic sets of at most 80 points, so that no example is slow or large;
+    # each source gets only the flags it reads
+    argv = ["run", f"--synth={synth}", "--out={dir}/out", f"--k={k}", f"--d={d}", f"--seed={seed}", f"--jobs={jobs}"]
+    argv += [f"--n={n}", f"--separation={separation}"] if synth == "blobs" else []
     argv += [] if leaves is None else [f"--leaves={leaves}"]
     exits_cleanly(argv + ([] if methods is None else [f"--methods={methods}"]), {})
 
