@@ -17,7 +17,9 @@ and the first term, summed over both sides, does not depend on the split,
 so ranking splits only needs running inner products <x, mu> accumulated in
 sorted feature order. x and mu are measured from the cell's mean: then
 every term is the size of the cell's spread, not of its distance from the
-origin, as in the parallel-axis pricing of `core.best_center`.
+origin, as in the parallel-axis pricing of `core.best_center`. The
+products are formed center-major by `np.einsum`, one contiguous row per
+center, whose sums no BLAS thread count changes.
 One sort per feature plus an O(k) update per threshold gives
 O(d k n + d n log n) per scanned leaf. The scan runs center-major on
 blocks of 64 features and scores only the cuts a split can take, one at
@@ -145,8 +147,7 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
         return None
     # centered, the identity's terms are the size of the cell's spread
     centers = M.centers - mean
-    # center-major, one contiguous row of inner products per center; einsum,
-    # not BLAS, so the bits do not depend on the BLAS thread count
+    # einsum, not BLAS: its sums do not depend on the BLAS thread count
     P = np.einsum("ij,kj->ki", points - mean, centers)
     m2 = np.einsum("ij,ij->i", centers, centers)
     s_tot = P.sum(axis=1)

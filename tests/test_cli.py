@@ -462,6 +462,7 @@ def test_each_distinct_tree_is_scored_once(tmp_path, monkeypatch):
         assert scored == leaf_counts
         rows = [row[2:] for row in _rows_without_time(out)[2:]]
         assert rows[0] == rows[1] == rows[2] and rows[4] == rows[5] != rows[3]
+    # the last run's exkmc_imm row and tree at 2 leaves are imm's
     assert rows[3] == rows[0]
     assert (out / "tree_exkmc_imm_k2.json").read_bytes() == (out / "tree_imm_k2.json").read_bytes()
 

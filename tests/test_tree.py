@@ -254,11 +254,9 @@ def test_grow_labels_every_unlabeled_leaf_and_keeps_a_base_label(base_label):
         tree.set_leaf_label(tree.root, base_label)
 
     def propose(leaf, ids, points, splittable):
-        # a label no leaf had: the one grow must write
-        split = (1.0, 0, 2.0) if leaf == 0 else None
-        return 10 + leaf, split
+        # labels no leaf has yet; only the root splits
+        return 10 + leaf, (1.0, 0, 2.0) if leaf == 0 else None
 
-    assert tree.nodes[tree.root].label == base_label  # before grow writes it
     steps = grow(FOUR_POINTS, tree, 3, propose)
     assert tree.nodes[tree.root].label == (10 if base_label is None else base_label)
     assert list(steps) == [(0, 1.0)]
@@ -277,7 +275,7 @@ def test_grow_yields_each_priority_as_proposed_bit_for_bit():
     def propose(leaf, ids, points, splittable):
         if ids.size < 2:
             return 0, None
-        proposed[leaf] = priorities[len(proposed) % len(priorities)]
+        proposed[leaf] = priorities[len(proposed)]
         return 0, (proposed[leaf], 0, float(points[0, 0]))  # peel off the lowest point
 
     steps = list(grow(X, ThresholdTree(), X.n, propose))
