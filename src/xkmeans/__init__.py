@@ -23,7 +23,7 @@ from xkmeans.core import (
     load_csv,
     surrogate_cost,
 )
-from xkmeans.exkmc import ExpandResult, SplitCandidate, expand, scan_best_split
+from xkmeans.exkmc import ExpandResult, expand, scan_best_split
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, KMeansResult, fit_reference, kmeanspp_seed, lloyd
 from xkmeans.synth import gen_gaussian_blobs, gen_synthetic_i, gen_synthetic_ii

@@ -50,13 +50,6 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     return tree
 
 
-def _gini_of_counts(counts: np.ndarray, total: int) -> float:
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float((p * p).sum())
-
-
 def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     """Count-weighted impurity decrease of the best split, or None for a
     pure or unsplittable leaf. Ties go to the lowest (feature, threshold)."""
@@ -65,7 +58,8 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     present = np.flatnonzero(total_counts)
     if present.size <= 1:
         return None
-    parent = m * _gini_of_counts(total_counts, m)
+    p = total_counts / m
+    parent = m * (1.0 - float((p * p).sum()))
 
     def negative_decrease(cums, n_left):
         # integer label counts: the sums of squares are exact in any order

@@ -43,7 +43,6 @@ from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stat
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
-    "SplitCandidate",
     "TraceStep",
     "ExpandResult",
     "scan_best_split",
@@ -51,14 +50,6 @@ __all__ = [
 ]
 
 _BLOCK = 64  # features vectorized together in the scan
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature: int
-    threshold: float
-    post_split_cost: float
-    gain: float
 
 
 @dataclass(frozen=True)
@@ -83,10 +74,6 @@ class ExpandResult:
     initial_surrogate: float
     initial_kmeans_cost: float
     stop_reason: str  # "budget", "no_split", or "callback"
-
-    @property
-    def final_surrogate(self) -> float:
-        return self.trace[-1].surrogate_cost if self.trace else self.initial_surrogate
 
 
 def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float):
@@ -128,8 +115,9 @@ def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: floa
     return float(best[i]), int(feature[i]), float(theta[i])
 
 
-def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
-    """Best candidate over all (feature, point-value threshold) pairs.
+def scan_best_split(points, M: CenterSet, stats=None) -> tuple[float, int, float] | None:
+    """Best (gain, feature, threshold) over all point-value thresholds; the
+    gain is the cell's cost at its best center less both sides' at theirs.
 
     Thresholds sit at distinct point values, excluding each feature's max so
     both sides stay nonempty. Returns None when no feature has two distinct
@@ -151,9 +139,8 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
     P = np.einsum("ij,kj->ki", points - mean, centers)
     m2 = np.einsum("ij,ij->i", centers, centers)
     s_tot = P.sum(axis=1)
-    sumsq = float(ss.sum())
     pre_score = float((-2.0 * s_tot + m * m2).min())
-    tol = _REL_TOL * max(1.0, abs(sumsq + pre_score))
+    tol = _REL_TOL * max(1.0, abs(float(ss.sum()) + pre_score))
 
     def side_costs(cums, left):
         # one array over the block's cuts per center, folded with np.minimum
@@ -166,13 +153,10 @@ def scan_best_split(points, M: CenterSet, stats=None) -> SplitCandidate | None:
     if found is None:
         return None
     score, feature, theta = found
-    post_cost = sumsq + score
     gain = pre_score - score
     if abs(gain) < tol:  # round-off of either sign is no gain
         gain = 0.0
-    if -tol < post_cost < 0.0:
-        post_cost = 0.0
-    return SplitCandidate(feature, theta, post_cost, gain)
+    return gain, feature, theta
 
 
 class _ClusterAggregates:
@@ -237,8 +221,7 @@ def expand(
     def propose(leaf, ids, points, splittable):
         fresh[leaf] = stats = cell_stats(points)
         label, leaf_cost[leaf] = best_center(stats, M)
-        cand = scan_best_split(points, M, stats) if splittable else None
-        return label, None if cand is None else (cand.gain, cand.feature, cand.threshold)
+        return label, scan_best_split(points, M, stats) if splittable else None
 
     splits = grow(X, tree, k_prime, propose)
     agg = _ClusterAggregates(M.k, X.d)  # grow proposed every base leaf already

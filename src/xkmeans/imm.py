@@ -46,11 +46,11 @@ class ImmNodeState:
 
 def best_mistake_split(
     X: DataMatrix, M: CenterSet, reference: Assignment, state: ImmNodeState
-) -> tuple[int, float, int]:
-    """The split of a node with the least key, mistakes + (m + 1) * one_sided
-    for a node with m points (tie: lowest feature, lowest threshold), and its
-    mistake count. A one-sided candidate leaves one side without points, so
-    it ranks after every two-sided one."""
+) -> tuple[int, float]:
+    """The (feature, threshold) of a node with the least key, mistakes +
+    (m + 1) * one_sided for a node with m points (tie: lowest feature, lowest
+    threshold). A one-sided candidate leaves one side without points, so it
+    ranks after every two-sided one."""
     if state.center_ids.size < 2:
         raise ValueError("node must contain at least two centers")
     ids = state.point_ids
@@ -61,7 +61,7 @@ def best_mistake_split(
     cmin = cvals.min(axis=0)
     cmax = cvals.max(axis=0)
 
-    best = None  # (key, feature, theta, mistakes)
+    best = None  # (key, feature, theta)
     for f in np.flatnonzero(cmin < cmax):
         f = int(f)
         col = X.points[ids, f]
@@ -80,12 +80,11 @@ def best_mistake_split(
         key = counts + (ids.size + 1) * one_sided
         j = int(np.argmin(key))
         if best is None or key[j] < best[0]:
-            best = (int(key[j]), f, float(cand[j]), int(counts[j]))
+            best = (int(key[j]), f, float(cand[j]))
 
     if best is None:
         raise ValueError("centers are identical on every feature; no split exists")
-    _, feature, theta, mistakes = best
-    return feature, theta, mistakes
+    return best[1:]
 
 
 def build_imm(X: DataMatrix, M: CenterSet, reference: Assignment) -> ThresholdTree:
@@ -106,7 +105,7 @@ def build_imm(X: DataMatrix, M: CenterSet, reference: Assignment) -> ThresholdTr
         if state.center_ids.size == 1:
             tree.set_leaf_label(leaf_id, int(state.center_ids[0]))
             continue
-        feature, theta, _ = best_mistake_split(X, M, reference, state)
+        feature, theta = best_mistake_split(X, M, reference, state)
         # a side may get centers but no points (a one-sided split)
         left_ids, right_ids = split_cell(X, state.point_ids, feature, theta)
         side = M.centers[state.center_ids, feature] <= theta

@@ -78,12 +78,15 @@ def test_criterion_1_fast_scan_matches_naive_enumeration():
         cutoff = lowest + 1e-9 * max(1.0, lowest)
         want = min((r for r in rows if r[0] <= cutoff), key=lambda r: (r[1], r[2]))
         assert got is not None, f"trial {trial}: scan returned no split"
-        assert (got.feature, got.threshold) == (want[1], want[2]), f"trial {trial}"
+        gain, feature, threshold = got
+        assert (feature, threshold) == (want[1], want[2]), f"trial {trial}"
         # each side is labeled as `expand` labels it, by its own cheapest center
-        mask = pts[:, got.feature] <= got.threshold
+        mask = pts[:, feature] <= threshold
         labels = best_center(cell_stats(pts[mask]), M)[0], best_center(cell_stats(pts[~mask]), M)[0]
         assert labels == (want[3], want[4]), f"trial {trial}"
-        assert got.post_split_cost == pytest.approx(want[0], rel=1e-9), f"trial {trial}"
+        # the cost the split leaves: the cell's cost at its cheapest center less the gain
+        pre = min(float(((pts - c) ** 2).sum()) for c in M.centers)
+        assert pre - gain == pytest.approx(want[0], rel=1e-9), f"trial {trial}"
     elapsed = time.perf_counter() - started
     report(1, elapsed < 10.0, f"200/200 scans equal exhaustive enumeration in {elapsed:.1f}s (< 10s)")
 
@@ -115,7 +118,7 @@ def test_criterion_3_full_budget_matches_reference():
         result = expand(X, ref.centers, base, X.n)
         induced = result.tree.induced_assignment(X)
         exact = np.array_equal(induced.labels, ref.assignment.labels)
-        close = abs(result.final_surrogate - ref.cost) <= REL * max(1.0, ref.cost)
+        close = abs(result.trace[-1].surrogate_cost - ref.cost) <= REL * max(1.0, ref.cost)
         if not (exact and close):
             bad.append(seed)
     report(3, not bad, f"n-leaf expansion reproduces the reference exactly on 20/20 seeds{bad or ''}")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xkmeans.baselines import _gini_of_counts, _gini_split, build_gini_tree, build_kdtree
+from xkmeans.baselines import _gini_split, build_gini_tree, build_kdtree
 from xkmeans.core import Assignment, CenterSet, DataMatrix, accuracy, best_center, cell_stats, surrogate_cost
 from xkmeans.kmeans import KMeansConfig, fit_reference
 from xkmeans.synth import gen_gaussian_blobs
@@ -182,7 +182,8 @@ def loop_gini_split(points, labels, n_labels):
     total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
     if (total_counts > 0).sum() <= 1:
         return None
-    parent = m * _gini_of_counts(total_counts, m)
+    p = total_counts / m
+    parent = m * (1.0 - float((p * p).sum()))
 
     best = None  # (decrease, feature, theta)
     one_hot = np.zeros((m, n_labels))

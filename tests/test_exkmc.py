@@ -21,7 +21,6 @@ from xkmeans.core import (
 from xkmeans.exkmc import (
     _BLOCK,
     _REL_TOL,
-    SplitCandidate,
     _ClusterAggregates,
     expand,
     prefix_scan,
@@ -68,8 +67,14 @@ def split_sides(points, M, feature, threshold):
 
 def side_labels(points, M, split):
     """The labels `expand` gives the two sides of a split the scan returned."""
-    (ll, _), (rl, _) = split_sides(points, M, split.feature, split.threshold)
+    (ll, _), (rl, _) = split_sides(points, M, *split[1:])
     return ll, rl
+
+
+def post_split_cost(points, M, split):
+    """The cost a split the scan returned leaves: the cell's cost at its
+    cheapest center less the split's gain."""
+    return exact_price(points, M) - split[0]
 
 
 def replay_split(tree, step):
@@ -147,10 +152,10 @@ class TestSplitCost:
 class TestScanBestSplit:
     def test_four_point_candidate(self):
         cand = scan_best_split(FOUR_POINTS.points, TWO_CENTERS, cell_stats(FOUR_POINTS.points))
-        assert (cand.feature, cand.threshold) == (0, 0.0)
+        assert cand[1:] == (0, 0.0)
         assert side_labels(FOUR_POINTS.points, TWO_CENTERS, cand) == (0, 1)
-        assert cand.post_split_cost == pytest.approx(1.0, rel=1e-12)
-        assert cand.gain == pytest.approx(32.0, rel=1e-12)
+        assert post_split_cost(FOUR_POINTS.points, TWO_CENTERS, cand) == pytest.approx(1.0, rel=1e-12)
+        assert cand[0] == pytest.approx(32.0, rel=1e-12)
 
     def test_outlier_cell_sides_get_their_own_cheapest_center(self):
         # the outlier makes the cell cost ~1e12, so a tie tolerance taken
@@ -160,9 +165,9 @@ class TestScanBestSplit:
         M = CenterSet([[-1.0], [1.0]])
         got = scan_best_split(pts, M, cell_stats(pts))
         want = naive_best_split(pts, M.centers)
-        assert (got.feature, got.threshold) == (want[1], want[2]) == (0, 0.1)
+        assert got[1:] == (want[1], want[2]) == (0, 0.1)
         assert side_labels(pts, M, got) == (want[3], want[4]) == (1, 1)
-        assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
+        assert post_split_cost(pts, M, got) == pytest.approx(want[0], rel=1e-9)
         result = expand(DataMatrix(pts), M, ThresholdTree(), 2)
         assert (result.trace[0].left_label, result.trace[0].right_label) == (1, 1)
 
@@ -192,9 +197,9 @@ class TestScanBestSplit:
             if want is None:
                 assert got is None
                 continue
-            assert (got.feature, got.threshold) == (want[1], want[2])
+            assert got[1:] == (want[1], want[2])
             assert side_labels(pts, M, got) == (want[3], want[4])
-            assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
+            assert post_split_cost(pts, M, got) == pytest.approx(want[0], rel=1e-9)
 
     def test_every_split_at_most_pre_cost(self):
         # splitting never increases the surrogate: probe random valid splits
@@ -274,7 +279,7 @@ class TestExpand:
         assert np.array_equal(
             result.tree.induced_assignment(X).labels, ref.assignment.labels
         )
-        assert result.final_surrogate == pytest.approx(ref.cost, rel=1e-9)
+        assert result.trace[-1].surrogate_cost == pytest.approx(ref.cost, rel=1e-9)
 
     def test_trace_monotone_and_replay_consistent(self):
         for seed in (3, 4):
@@ -362,7 +367,7 @@ def test_exactly_tied_centers_go_to_the_lowest_index(seed):
     # split from a far group nearest the third center, the cell is a side
     both = np.vstack([cell, cell + [0.0, 50.0]])
     split = scan_best_split(both, M, cell_stats(both))
-    assert (split.feature, *side_labels(both, M, split)) == (1, 0, 2)
+    assert (split[1], *side_labels(both, M, split)) == (1, 0, 2)
 
 
 def test_lone_root_is_priced_once(monkeypatch):
@@ -398,9 +403,9 @@ def test_scan_matches_naive_under_a_shared_offset(n, d, k, offset, seed):
     if want is None:
         assert got is None
         return
-    assert (got.feature, got.threshold) == (want[1], want[2])
+    assert got[1:] == (want[1], want[2])
     assert side_labels(pts, M, got) == (want[3], want[4])
-    assert got.post_split_cost == pytest.approx(want[0], rel=1e-9)
+    assert post_split_cost(pts, M, got) == pytest.approx(want[0], rel=1e-9)
 
 
 def test_unlabeled_multi_leaf_base_rejected():
@@ -454,8 +459,8 @@ def test_scan_matches_naive_on_tie_heavy_integer_data(n, d, k, seed):
     if want is None:
         assert got is None
         return
-    assert (got.feature, got.threshold) == (want[1], want[2])
-    assert got.post_split_cost == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+    assert got[1:] == (want[1], want[2])
+    assert post_split_cost(pts, M, got) == pytest.approx(want[0], rel=1e-9, abs=1e-9)
     assert side_labels(pts, M, got) == (want[3], want[4])
 
 
@@ -481,11 +486,9 @@ def test_full_budget_expansion_reaches_nearest_assignment(n, d, k, seed):
     result = expand(X, M, ThresholdTree(), n)
     induced = result.tree.induced_assignment(X)
     assert np.array_equal(induced.labels, nearest)
-    assert result.final_surrogate == pytest.approx(
-        float(d2[np.arange(n), nearest].sum()), rel=1e-9, abs=1e-9
-    )
-
     costs = [result.initial_surrogate] + [s.surrogate_cost for s in result.trace]
+    assert costs[-1] == pytest.approx(float(d2[np.arange(n), nearest].sum()), rel=1e-9, abs=1e-9)
+
     slack = 1e-9 * max(1.0, costs[0]) + 1e-12
     assert all(b <= a + slack for a, b in zip(costs, costs[1:]))
     assert result.initial_kmeans_cost <= result.initial_surrogate + slack
@@ -545,24 +548,23 @@ def klast_best_split(points, M):
         return None
     cutoff = min(e[0] for e in found) + tol
     score, feature, theta = min((e for e in found if e[0] <= cutoff), key=lambda e: (e[1], e[2]))
-    post_cost = sumsq + score
     gain = pre_score - score
     if abs(gain) < tol:
         gain = 0.0
-    if -tol < post_cost < 0.0:
-        post_cost = 0.0
-    return SplitCandidate(feature, theta, post_cost, gain)
+    return gain, feature, theta, sumsq + score
 
 
-def assert_same_split(got, want):
-    """The same split, and the same costs to 1e-12 relative."""
+def assert_same_split(points, M, got, want):
+    """The same split, and the same costs to 1e-12 relative; `want` also
+    carries the reference's own post-split cost."""
     if want is None:
         assert got is None
         return
-    assert (got.feature, got.threshold) == (want.feature, want.threshold)
-    scale = 1e-12 * max(1.0, want.post_split_cost + want.gain)  # the cell's cost
-    assert got.post_split_cost == pytest.approx(want.post_split_cost, rel=1e-12, abs=scale)
-    assert got.gain == pytest.approx(want.gain, rel=1e-12, abs=scale)
+    assert got[1:] == want[1:3]
+    cost = exact_price(points, M)  # the cell's
+    scale = 1e-12 * max(1.0, cost)
+    assert cost - got[0] == pytest.approx(want[3], rel=1e-12, abs=scale)
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=scale)
 
 
 WIDTHS = [1, 63, 64, 65, 129]  # one column, and either side of the 64-feature block
@@ -579,7 +581,7 @@ def test_center_major_scan_matches_klast_on_tie_heavy_grids(d, n, k, seed):
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     M = CenterSet(rng.integers(-2, 3, size=(k, d)).astype(float))
-    assert_same_split(scan_best_split(pts, M, cell_stats(pts)), klast_best_split(pts, M))
+    assert_same_split(pts, M, scan_best_split(pts, M, cell_stats(pts)), klast_best_split(pts, M))
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -590,7 +592,7 @@ def test_center_major_scan_matches_klast_on_outlier_cells(d):
     pts = X.points[:, :d]
     # with and without the two anchors, one cluster, and a 30-point cell
     for cell in (pts, pts[2:], pts[ref.assignment.labels == ref.assignment.labels[2]], pts[:30]):
-        assert_same_split(scan_best_split(cell, M, cell_stats(cell)), klast_best_split(cell, M))
+        assert_same_split(cell, M, scan_best_split(cell, M, cell_stats(cell)), klast_best_split(cell, M))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -701,7 +703,7 @@ def test_threshold_is_the_last_tied_value_in_input_order(zeros, sign):
     M = CenterSet([[0.0], [1.0]])
     got, want = both_scans(pts, M, np.array([0, 0, 1, 1]), 2)
     assert repr(got) == repr(want)
-    assert repr(got[0].threshold) == repr(got[1][2]) == sign + "0.0"
+    assert repr(got[0][2]) == repr(got[1][2]) == sign + "0.0"
 
 
 def test_scan_scores_exactly_the_distinct_value_boundaries():
@@ -920,5 +922,4 @@ def test_trace_gain_is_the_scans_gain_and_exact_at_large_offsets(offset):
                 assert abs(exact) <= (_REL_TOL + 1e-12) * max(1.0, parent)
             else:
                 assert abs(step.gain - exact) <= 1e-12 * parent
-            scanned = scan_best_split(cell, M)
-            assert (step.feature, step.threshold, step.gain) == (scanned.feature, scanned.threshold, scanned.gain)
+            assert (step.gain, step.feature, step.threshold) == scan_best_split(cell, M)

@@ -116,8 +116,7 @@ def dense_best_mistake_split(X, M, reference, state):
     chosen = best if best is not None else fallback
     if chosen is None:
         raise ValueError("centers are identical on every feature; no split exists")
-    mistakes, feature, theta = chosen
-    return feature, theta, mistakes
+    return chosen[1:]
 
 
 def count_mistakes(points, labels, centers, feature: int, threshold: float) -> int:
@@ -176,15 +175,16 @@ class TestBestMistakeSplit:
         M = CenterSet([[0.25], [10.25]])
         ref = Assignment([0, 0, 1, 1])
         state = ImmNodeState(np.arange(4), np.arange(2))
-        f, theta, mistakes = best_mistake_split(X, M, ref, state)
-        assert mistakes == 0
+        f, theta = best_mistake_split(X, M, ref, state)
+        assert count_mistakes(X.points, ref.labels, M.centers, f, theta) == 0
         assert f == 0 and 0.5 <= theta < 10.0
 
     def test_four_point_example(self):
         ref = Assignment([0, 0, 1, 1])
         state = ImmNodeState(np.arange(4), np.arange(2))
-        f, theta, mistakes = best_mistake_split(FOUR_POINTS, TWO_CENTERS, ref, state)
-        assert (f, theta, mistakes) == (0, 0.0, 0)
+        f, theta = best_mistake_split(FOUR_POINTS, TWO_CENTERS, ref, state)
+        assert (f, theta) == (0, 0.0)
+        assert count_mistakes(FOUR_POINTS.points, ref.labels, TWO_CENTERS.centers, f, theta) == 0
 
     def test_spread_cluster_still_splits_cleanly(self):
         # points overshoot their center's coordinate; a candidate at a data
@@ -193,8 +193,8 @@ class TestBestMistakeSplit:
         M = CenterSet([[1.0], [11.0]])
         ref = Assignment([0, 0, 1, 1])
         state = ImmNodeState(np.arange(4), np.arange(2))
-        f, theta, mistakes = best_mistake_split(X, M, ref, state)
-        assert mistakes == 0 and theta == 2.0
+        f, theta = best_mistake_split(X, M, ref, state)
+        assert count_mistakes(X.points, ref.labels, M.centers, f, theta) == 0 and theta == 2.0
 
     def test_identical_centers_rejected(self):
         X = DataMatrix([[0.0], [1.0]])
@@ -212,8 +212,9 @@ class TestBestMistakeSplit:
         M = CenterSet([[0.0, 0.0], [0.0, 10.0], [10.0, 5.0]])
         ref = Assignment([0, 1])
         state = ImmNodeState(np.arange(2), np.arange(3))
-        assert best_mistake_split(X, M, ref, state) == (1, 1.0, 2)
-        assert dense_best_mistake_split(X, M, ref, state) == (1, 1.0, 2)
+        assert best_mistake_split(X, M, ref, state) == (1, 1.0)
+        assert dense_best_mistake_split(X, M, ref, state) == (1, 1.0)
+        assert count_mistakes(X.points, ref.labels, M.centers, 1, 1.0) == 2
 
     def test_node_without_points_separates_centers(self):
         # every candidate is one-sided and has no mistakes: the lowest
@@ -221,7 +222,7 @@ class TestBestMistakeSplit:
         X = DataMatrix([[0.0, 0.0], [1.0, 1.0]])
         M = CenterSet([[2.0, 3.0], [2.0, 1.0], [5.0, 4.0]])
         state = ImmNodeState(np.array([], dtype=np.int64), np.array([0, 1]))
-        assert best_mistake_split(X, M, Assignment([0, 1]), state) == (1, 1.0, 0)
+        assert best_mistake_split(X, M, Assignment([0, 1]), state) == (1, 1.0)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(31)
@@ -238,8 +239,8 @@ class TestBestMistakeSplit:
             got = best_mistake_split(X, M, ref, state)
             want = brute_best_split(pts, ref.labels, centers, list(range(k)))
             assert want is not None
-            assert got[0] == want[1] and got[1] == want[2] and got[2] == want[0]
-            assert got[2] == count_mistakes(pts, ref.labels, centers, got[0], got[1])
+            assert got == (want[1], want[2])
+            assert count_mistakes(pts, ref.labels, centers, *got) == want[0]
 
 
 class TestBuildImm:
@@ -328,7 +329,7 @@ class TestDegenerateNodes:
         tree = build_imm(X, M, Assignment([0, 0, 0]))
         result = expand(X, M, tree, 4)
         assert result.stop_reason == "no_split"  # identical points: nothing to split
-        assert result.final_surrogate == pytest.approx(0.0)
+        assert not result.trace and result.initial_surrogate == pytest.approx(0.0)
 
 
 @settings(max_examples=80, deadline=None)
