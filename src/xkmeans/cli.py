@@ -83,6 +83,8 @@ class ExperimentConfig:
             elif name not in reads:
                 source = "--data" if self.synth is None else f"--synth {self.synth}"
                 raise ValueError(f"{source} does not read {flag}")
+        if self.columns == []:
+            raise ValueError("--columns names no column")
         if not self.budgets:
             self.budgets = [self.k * m for m in (1, 2, 3, 4)]
         if self.budgets[0] < 1 or any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
             config = ExperimentConfig(
                 k=args.k,
                 data=args.data,
-                columns=[int(c) for c in args.columns.split(",")] if args.columns else None,
+                columns=None if args.columns is None else [int(c) for c in args.columns.split(",") if c.strip()],
                 synth=args.synth,
                 synth_d=args.d,
                 synth_n=args.n,

@@ -208,6 +208,20 @@ class TestCliEntry:
         assert capsys.readouterr().err == f"error: {named} does not read {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, err",
+        [("blobs", "error: --synth blobs does not read --columns\n"), (None, "error: --columns names no column\n")],
+    )
+    def test_an_empty_columns_flag_is_given_and_exits_1_before_any_output(self, tmp_path, capsys, source, err):
+        # `--columns=` is given, not absent: a synthetic source does not read
+        # it, and a csv file cannot keep no column
+        out = tmp_path / "out"
+        given = ["--data", str(IRIS)] if source is None else ["--synth", source, "--n", "20", "--d", "2"]
+        argv = ["run", *given, "--k", "2", "--columns=", "--leaves", "k", "--methods", "imm", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     def test_zero_cost_reference_gives_nan_ratios(self, tmp_path):
         # three distinct points at k = 3: the reference costs 0, so no
         # method's cost can be put as a ratio of it
