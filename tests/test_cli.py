@@ -584,6 +584,26 @@ def test_explain_malformed_tree_exit_code(tmp_path, capsys, nodes):
     assert code == 1
     assert "tree JSON" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "nodes, point, leaf",
+    [
+        ([{"label": None}], "0.3", 0),
+        ([{"feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"label": 0}, {"label": None}], "0.7", 2),
+    ],
+    ids=["lone_root", "right_leaf"],
+)
+def test_explain_through_an_unlabeled_leaf_exits_1(tmp_path, capsys, nodes, point, leaf):
+    # from_json takes such a tree (expand grows an unlabeled lone root), but
+    # a point that reaches an unlabeled leaf has no cluster to explain
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(json.dumps({"nodes": nodes}))
+    assert main(["explain", "--tree", str(tree_file), "--point", point]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: the point reaches leaf {leaf} of the tree JSON, which is unlabeled\n"
+    assert ThresholdTree.from_json(tree_file.read_text()).decision_path([float(point)])[1] is None
+
 def test_explain_rejects_a_tree_out_of_growth_order(tmp_path, capsys):
     # every node is reachable once, but node 0's children are 1 and 3, so
     # the tree's first split is not its first three nodes; run never writes it
