@@ -50,11 +50,12 @@ def build_kdtree(X: DataMatrix, M: CenterSet, max_leaves: int) -> ThresholdTree:
     return tree
 
 
-def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
+def _gini_split(points: np.ndarray, labels: np.ndarray, counts: np.ndarray):
     """Count-weighted impurity decrease of the best split, or None for a
-    pure or unsplittable leaf. Ties go to the lowest (feature, threshold)."""
+    pure or unsplittable leaf, given the cell's `counts` of each label.
+    Ties go to the lowest (feature, threshold)."""
     m = points.shape[0]
-    total_counts = np.bincount(labels, minlength=n_labels).astype(np.float64)
+    total_counts = counts.astype(np.float64)
     present = np.flatnonzero(total_counts)
     if present.size <= 1:
         return None
@@ -74,10 +75,6 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, n_labels: int):
     return None if found is None else (-found[0], found[1], found[2])
 
 
-def _majority(labels: np.ndarray, n_labels: int) -> int:
-    return int(np.argmax(np.bincount(labels, minlength=n_labels)))
-
-
 def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> ThresholdTree:
     """Best-first classification tree on the reference labels: at each step
     split the frontier leaf with the largest count-weighted gini decrease."""
@@ -90,8 +87,9 @@ def build_gini_tree(X: DataMatrix, reference: Assignment, max_leaves: int) -> Th
 
     def propose(leaf, ids, points, splittable):
         cell_labels = labels[ids]
-        split = _gini_split(points, cell_labels, n_labels) if splittable else None
-        return _majority(cell_labels, n_labels), split
+        counts = np.bincount(cell_labels, minlength=n_labels)  # the majority ties to the lowest label
+        split = _gini_split(points, cell_labels, counts) if splittable else None
+        return int(np.argmax(counts)), split
 
     for _ in grow(X, tree, max_leaves, propose):
         pass

@@ -238,11 +238,9 @@ def explain_point(tree_path, point) -> tuple[list[tuple[int, float, str]], int]:
     """Decision path of one point through an exported tree, and the label of
     the leaf it reaches, which must have one."""
     tree = ThresholdTree.from_json(Path(tree_path).read_text())
-    path, label = tree.decision_path(np.asarray(point, dtype=np.float64))
+    path, leaf = tree.decision_path(np.asarray(point, dtype=np.float64))
+    label = tree.nodes[leaf].label
     if label is None:
-        leaf = tree.root
-        for _, _, side in path:
-            leaf = getattr(tree.nodes[leaf], side)
         raise ValueError(f"the point reaches leaf {leaf} of the tree JSON, which is unlabeled")
     return path, label
 

@@ -210,7 +210,7 @@ def expand(
         raise ValueError("centers and data disagree on dimension")
     if k_prime < base.leaf_count:
         raise ValueError(f"budget {k_prime} is below the base leaf count {base.leaf_count}")
-    tree = base.copy()
+    tree = base.prefix(base.leaf_count)
     for i in tree.leaf_ids():
         if tree.nodes[i].label is None and tree.leaf_count > 1:
             raise ValueError(f"base leaf {i} is unlabeled")

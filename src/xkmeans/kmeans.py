@@ -69,7 +69,6 @@ def kmeanspp_seed(X: DataMatrix, k: int, rng: np.random.Generator) -> CenterSet:
         raise ValueError(f"cannot seed {k} centers from {n} points")
 
     chosen = np.empty(k, dtype=np.int64)
-    d2 = np.empty(n)
     buf = np.empty((min(n, max(1, _BLOCK_FLOATS // X.d)), X.d))
     for i in range(k):
         weights = np.ones(n) if i == 0 else d2

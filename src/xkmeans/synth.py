@@ -86,15 +86,11 @@ def gen_synthetic_i(
     data[0, 0] = nu
     data[1, 0] = nu
 
-    rest = n - 2
-    ones_half = rest // 2
-    for row in range(2, 2 + ones_half):
-        data[row, 1:] = 1.0
+    ones_end = 2 + (n - 2) // 2
+    data[2:ones_end, 1:] = 1.0
+    for row in range(2, n):  # one draw per row, in row order
         flip = rng.choice(np.arange(1, d), size=100, replace=False)
-        data[row, flip] = 0.0
-    for row in range(2 + ones_half, n):
-        flip = rng.choice(np.arange(1, d), size=100, replace=False)
-        data[row, flip] = 1.0
+        data[row, flip] = 0.0 if row < ones_end else 1.0
     return DataMatrix(data)
 
 

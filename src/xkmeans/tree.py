@@ -111,11 +111,6 @@ class ThresholdTree:
 
     # -- construction -----------------------------------------------------
 
-    def copy(self) -> "ThresholdTree":
-        tree = ThresholdTree()
-        tree.nodes = [replace(n) for n in self.nodes]
-        return tree
-
     def leaf_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.is_leaf]
 
@@ -176,19 +171,19 @@ class ThresholdTree:
         if d < need:
             raise ValueError(f"point has dimension {d}, tree tests feature {need - 1}")
 
-    def decision_path(self, x) -> tuple[list[tuple[int, float, str]], int | None]:
-        """Root-to-leaf conditions for one point, plus the leaf label."""
+    def decision_path(self, x) -> tuple[list[tuple[int, float, str]], int]:
+        """Root-to-leaf conditions for one point, plus the id of its leaf."""
         x = np.asarray(x, dtype=np.float64)
         self._check_dim(x.shape[-1] if x.ndim else 0)
         if not np.all(np.isfinite(x)):
             raise ValueError("point contains NaN or Inf entries")
-        path = []
-        node = self.nodes[self.root]
-        while not node.is_leaf:
+        path, leaf = [], self.root
+        while not self.nodes[leaf].is_leaf:
+            node = self.nodes[leaf]
             left = x[node.feature] <= node.threshold
             path.append((node.feature, node.threshold, "left" if left else "right"))
-            node = self.nodes[node.left if left else node.right]
-        return path, node.label
+            leaf = node.left if left else node.right
+        return path, leaf
 
     def cells(self, X: DataMatrix) -> dict[int, np.ndarray]:
         """Ascending ids of the rows of X in each leaf, keyed by leaf id in

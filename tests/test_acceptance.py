@@ -149,7 +149,7 @@ def test_criterion_5_refinement_locality(blob_runs):
     leaks = 0
     for run in blob_runs["runs"]:
         X, result = run["X"], run["result"]
-        tree = run["base"].copy()
+        tree = run["base"].prefix(run["base"].leaf_count)
         before = tree.induced_assignment(X).labels
         for step in result.trace:
             moved = tree.cells(X)[step.leaf]

@@ -220,7 +220,7 @@ def test_gini_split_matches_per_feature_loop_on_tie_heavy_grids(d, n, n_labels, 
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(float)
     labels = rng.integers(0, n_labels, size=n)
-    assert _gini_split(pts, labels, n_labels) == loop_gini_split(pts, labels, n_labels)
+    assert _gini_split(pts, labels, np.bincount(labels, minlength=n_labels)) == loop_gini_split(pts, labels, n_labels)
 
 
 def naive_gini_tree(X, labels, max_leaves):
@@ -287,7 +287,7 @@ def test_gini_tree_matches_naive_whole_build(n, d, n_labels, grid, duplicates, o
 def test_gini_split_none_on_cells_that_cannot_split(points, labels):
     labels = np.array(labels)
     assert loop_gini_split(points, labels, 3) is None
-    assert _gini_split(points, labels, 3) is None
+    assert _gini_split(points, labels, np.bincount(labels, minlength=3)) is None
 
 
 def test_invalid_leaf_budgets_rejected():

@@ -602,7 +602,9 @@ def test_explain_through_an_unlabeled_leaf_exits_1(tmp_path, capsys, nodes, poin
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: the point reaches leaf {leaf} of the tree JSON, which is unlabeled\n"
-    assert ThresholdTree.from_json(tree_file.read_text()).decision_path([float(point)])[1] is None
+    tree = ThresholdTree.from_json(tree_file.read_text())
+    assert tree.decision_path([float(point)])[1] == leaf
+    assert tree.nodes[leaf].label is None
 
 def test_explain_rejects_a_tree_out_of_growth_order(tmp_path, capsys):
     # every node is reachable once, but node 0's children are 1 and 3, so

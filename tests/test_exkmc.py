@@ -87,7 +87,7 @@ def replay_split(tree, step):
 def replay_trace(X, M, base, result):
     """Re-apply a recorded expansion step by step on a fresh copy, checking
     each trace row against recomputation from first principles."""
-    tree = base.copy()
+    tree = base.prefix(base.leaf_count)
     before = tree.induced_assignment(X).labels
     for step in result.trace:
         moved = tree.cells(X)[step.leaf]
@@ -306,7 +306,7 @@ class TestExpand:
         base = build_imm(X, ref.centers, ref.assignment)
         result = expand(X, ref.centers, base, X.n)
         purity_step = None
-        tree = base.copy()
+        tree = base.prefix(base.leaf_count)
         for idx, step in enumerate(result.trace):
             replay_split(tree, step)
             pure = all(
@@ -654,11 +654,11 @@ def dense_prefix_scan(points, rows, score, tol):
 
 def both_scans(pts, M, labels, n_labels):
     """The exkmc and gini splits of a cell, by `prefix_scan` and by the dense oracle."""
-    got = (scan_best_split(pts, M), _gini_split(pts, labels, n_labels))
+    got = (scan_best_split(pts, M), _gini_split(pts, labels, np.bincount(labels, minlength=n_labels)))
     with mock.patch.object(exkmc, "prefix_scan", dense_prefix_scan), mock.patch.object(
         baselines, "prefix_scan", dense_prefix_scan
     ):
-        want = (scan_best_split(pts, M), _gini_split(pts, labels, n_labels))
+        want = (scan_best_split(pts, M), _gini_split(pts, labels, np.bincount(labels, minlength=n_labels)))
     return got, want
 
 
@@ -800,7 +800,7 @@ def naive_expand(X, M, base, k_prime):
     the largest are tied and go to the lowest leaf id. Each new leaf is
     labeled `best_center(cell_stats(cell), M)`. Returns the tree and the
     surrogate cost after each step, summed directly."""
-    tree = base.copy()
+    tree = base.prefix(base.leaf_count)
     if tree.leaf_count == 1 and tree.nodes[tree.root].label is None:
         tree.set_leaf_label(tree.root, best_center(cell_stats(X.points), M)[0])
 

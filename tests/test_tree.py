@@ -49,8 +49,8 @@ class TestRoute:
         cells = tree.cells(DataMatrix([(0.5, 9.0), (0.500001, 9.0)]))
         assert cells[left].tolist() == [0]
         assert cells[right].tolist() == [1]
-        assert tree.decision_path((0.5, 9.0)) == ([(0, 0.5, "left")], 0)
-        assert tree.decision_path((0.500001, 9.0)) == ([(0, 0.5, "right")], 1)
+        assert tree.decision_path((0.5, 9.0)) == ([(0, 0.5, "left")], left)
+        assert tree.decision_path((0.500001, 9.0)) == ([(0, 0.5, "right")], right)
 
 
 class TestInducedAssignment:
