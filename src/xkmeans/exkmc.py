@@ -200,9 +200,10 @@ def expand(
     leaf is unsplittable. Ties on gain go to the lowest leaf id; a step's gain
     is the scan's, round-off counting as zero. Leaves made by the split that
     reaches k_prime are priced but not scanned. `base` may be any tree whose
-    leaves are labeled (a lone unlabeled root gets its best center): built,
-    cut with `prefix` or loaded with `from_json`, since its cells come from
-    routing X. The input tree is not modified.
+    leaves are labeled with indices of M's centers (a lone unlabeled root
+    gets its best center): built, cut with `prefix` or loaded with
+    `from_json`, since its cells come from routing X. The input tree is not
+    modified.
     `stop_condition`, when given, sees each step as it is taken and ends the
     expansion early when it returns True.
     """
@@ -212,8 +213,11 @@ def expand(
         raise ValueError(f"budget {k_prime} is below the base leaf count {base.leaf_count}")
     tree = base.prefix(base.leaf_count)
     for i in tree.leaf_ids():
-        if tree.nodes[i].label is None and tree.leaf_count > 1:
+        label = tree.nodes[i].label
+        if label is None and tree.leaf_count > 1:
             raise ValueError(f"base leaf {i} is unlabeled")
+        if label is not None and not 0 <= label < M.k:
+            raise ValueError(f"base leaf {i}'s label {label} is not one of the {M.k} centers")
 
     leaf_cost: dict[int, float] = {}
     fresh: dict[int, tuple] = {}  # cell stats of the leaves not yet in `agg`

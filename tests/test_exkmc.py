@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -413,6 +414,21 @@ def test_unlabeled_multi_leaf_base_rejected():
     tree.split_leaf(0, 0, 0.0)
     with pytest.raises(ValueError, match="unlabeled"):
         expand(FOUR_POINTS, TWO_CENTERS, tree, 4)
+
+
+def test_base_label_that_is_no_center_index_rejected():
+    # from_json takes any non-negative label and set_leaf_label any int, but
+    # expand reads a base leaf's label as an index into the centers
+    split = {"feature": 0, "threshold": 2.0, "left": 1, "right": 2}
+    for nodes, leaf in (([{"label": 5}], 0), ([{"label": 2}], 0), ([split, {"label": 0}, {"label": 7}], 2)):
+        base = ThresholdTree.from_json(json.dumps({"nodes": nodes}))
+        label = nodes[leaf]["label"]
+        with pytest.raises(ValueError, match=f"base leaf {leaf}'s label {label} is not one of the 2 centers"):
+            expand(FOUR_POINTS, TWO_CENTERS, base, 4)
+    base = ThresholdTree()
+    base.set_leaf_label(0, -1)
+    with pytest.raises(ValueError, match="base leaf 0's label -1 is not one of the 2 centers"):
+        expand(FOUR_POINTS, TWO_CENTERS, base, 4)
 
 
 @pytest.mark.parametrize("imm_base", [True, False], ids=["imm_base", "root_base"])
