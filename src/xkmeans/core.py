@@ -188,7 +188,16 @@ def surrogate_cost(X: DataMatrix, leaf_partition: Sequence, M: CenterSet) -> flo
     covered = np.concatenate([c for c in cells if c.size] or [np.empty(0, np.int64)])
     if covered.size != X.n or not np.array_equal(np.sort(covered), np.arange(X.n)):
         raise ValueError("leaf partition must cover each point id exactly once")
-    return float(sum(best_center(cell_stats(X.points[cell]), M)[1] for cell in cells))
+    return _total(best_center(cell_stats(X.points[cell]), M)[1] for cell in cells)
+
+
+def _total(costs) -> float:
+    """The costs added left to right in float64. The builtin `sum` adds
+    floats with compensation from CPython 3.12 on, which moves output bits."""
+    total = 0.0
+    for cost in costs:
+        total += cost
+    return total
 
 
 def accuracy(reference: Assignment, induced: Assignment) -> float:

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, best_center, cell_stats
+from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, _total, best_center, cell_stats
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -231,7 +231,7 @@ def expand(
     agg = _ClusterAggregates(M.k, X.d)  # grow proposed every base leaf already
     for leaf in tree.leaf_ids():
         agg.merge(fresh.pop(leaf), tree.nodes[leaf].label)
-    initial_surrogate = float(sum(leaf_cost.values()))
+    initial_surrogate = _total(leaf_cost.values())
     initial_kmeans = agg.cost()
 
     trace: list[TraceStep] = []
@@ -246,7 +246,7 @@ def expand(
         step = TraceStep(
             len(trace) + 1, leaf, node.feature, node.threshold,
             tree.nodes[node.left].label, tree.nodes[node.right].label,
-            gain, float(sum(leaf_cost.values())), agg.cost(),
+            gain, _total(leaf_cost.values()), agg.cost(),
         )
         trace.append(step)
         if stop_condition is not None and stop_condition(step):

@@ -8,6 +8,7 @@ them with `PYTHONPATH=src python tests/test_golden.py` and says so in its
 record.
 """
 
+import builtins
 import csv
 import hashlib
 import io
@@ -502,6 +503,31 @@ def test_outputs_match_golden_digests(case, tmp_path):
     assert sorted(got) == sorted(GOLDEN[case]), "a different set of output files"
     changed = [name for name in got if got[name] != GOLDEN[case][name]]
     assert not changed, f"outputs changed: {changed}"
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin `sum` with floats added as CPython 3.12 adds them, with
+    Neumaier's compensation (gh-100425); anything else as before."""
+    items = list(iterable)
+    if not items or not all(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def test_outputs_do_not_depend_on_how_the_builtin_sum_adds_floats(monkeypatch, tmp_path):
+    # a builtin sum over the leaf costs moved iris_deep's results.csv and
+    # traces; pyproject allows Python 3.10 on, across 3.12's change to sum
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0 != _BUILTIN_SUM([1.0, 1e100, 1.0, -1e100])
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert digests("iris_deep", tmp_path) == GOLDEN["iris_deep"]
 
 
 if __name__ == "__main__":
