@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -223,14 +223,14 @@ def run_experiment(config: ExperimentConfig) -> Path:
         writer.writerow(_csv_row("reference", config.k, (reference.cost, reference.cost, 1.0, 1.0, config.k), 0.0))
         for method in config.methods:
             elapsed_ms, trace, base_leaves, scored = by_method[method]
+            steps = [json.dumps(vars(s)) + "\n" for s in trace or ()]  # a budget's trace is their first lines
             for budget, (tree, text, scores) in zip(config.budgets, scored):
                 writer.writerow(_csv_row(method, budget, scores, elapsed_ms))
                 stem = f"{method}_k{budget}"
                 (out_dir / f"tree_{stem}.json").write_text(text + "\n")
                 (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
                 if trace is not None:
-                    steps = trace[: budget - base_leaves]
-                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(json.dumps(asdict(s)) + "\n" for s in steps))
+                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(steps[: budget - base_leaves]))
     return results_path
 
 
