@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xkmeans.core import DataMatrix
+from xkmeans.baselines import build_gini_tree, build_kdtree
+from xkmeans.core import Assignment, CenterSet, DataMatrix
+from xkmeans.exkmc import expand
 from xkmeans.synth import gen_gaussian_blobs
 from xkmeans.tree import ThresholdTree, grow
 
@@ -435,3 +437,33 @@ def test_deep_chain_walks_without_recursion():
     lines.append("  " * (n - 1) + f"label {n - 1}")
     assert tree.export_text() == "\n".join(lines) + "\n"
     assert ThresholdTree.from_json(tree.to_json()).to_json() == tree.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(["expand", "kdtree", "gini_tree"]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_decision_path_reaches_the_leaf_that_cells_routes_each_row_to(n, d, k, method, duplicates, seed):
+    # thresholds are point values, so on a small integer grid many rows sit
+    # exactly at a threshold, and some of its zeros are -0.0
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    pts[(pts == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
+    if duplicates:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    X = DataMatrix(pts)
+    if method == "gini_tree":
+        tree = build_gini_tree(X, Assignment(rng.integers(0, k, size=n)), n)
+    else:
+        M = CenterSet(rng.normal(size=(k, d)))
+        tree = expand(X, M, ThresholdTree(), n).tree if method == "expand" else build_kdtree(X, M, n)
+    for leaf, ids in tree.cells(X).items():
+        for i in ids:
+            path, reached = tree.decision_path(X.points[i])
+            assert reached == leaf
+            assert all((X.points[i, f] <= t) == (side == "left") for f, t, side in path)
