@@ -223,7 +223,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         writer.writerow(_csv_row("reference", config.k, (reference.cost, reference.cost, 1.0, 1.0, config.k), 0.0))
         for method in config.methods:
             elapsed_ms, trace, base_leaves, scored = by_method[method]
-            steps = [json.dumps(vars(s)) + "\n" for s in trace or ()]  # a budget's trace is their first lines
+            steps = [json.dumps(vars(s)) + "\n" for s in trace or ()]  # each budget's trace is a prefix
             for budget, (tree, text, scores) in zip(config.budgets, scored):
                 writer.writerow(_csv_row(method, budget, scores, elapsed_ms))
                 stem = f"{method}_k{budget}"

@@ -150,9 +150,9 @@ class ThresholdTree:
         return left_id, right_id
 
     def prefix(self, leaves: int) -> "ThresholdTree":
-        """The tree as it stood with `leaves` leaves (all of it, if it has
-        fewer): a split whose children fall past the cut becomes a leaf again,
-        under its pre-split label."""
+        """A new tree, this one as it stood with `leaves` leaves (a copy of
+        all of it at `leaf_count` or more): a split whose children fall past
+        the cut becomes a leaf again, under its pre-split label."""
         if leaves < 1:
             raise ValueError("a tree prefix needs at least one leaf")
         keep = 2 * min(leaves, self.leaf_count) - 1

@@ -505,6 +505,9 @@ def test_outputs_match_golden_digests(case, tmp_path):
     assert not changed, f"outputs changed: {changed}"
 
 
+_BUILTIN_SUM = builtins.sum
+
+
 def neumaier_sum(iterable, /, start=0):
     """The builtin `sum` with floats added as CPython 3.12 adds them, with
     Neumaier's compensation (gh-100425); anything else as before."""
@@ -519,12 +522,9 @@ def neumaier_sum(iterable, /, start=0):
     return total + compensation
 
 
-_BUILTIN_SUM = builtins.sum
-
-
 def test_outputs_do_not_depend_on_how_the_builtin_sum_adds_floats(monkeypatch, tmp_path):
-    # a builtin sum over the leaf costs moved iris_deep's results.csv and
-    # traces; pyproject allows Python 3.10 on, across 3.12's change to sum
+    # summed with compensation, iris_deep's leaf costs would move its
+    # results.csv and traces; pyproject allows Python 3.10 on, across 3.12
     assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0 != _BUILTIN_SUM([1.0, 1e100, 1.0, -1e100])
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
     assert digests("iris_deep", tmp_path) == GOLDEN["iris_deep"]
