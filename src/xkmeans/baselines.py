@@ -10,8 +10,6 @@ gini by impurity decrease, searched with the expansion's `prefix_scan`.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from xkmeans.core import Assignment, CenterSet, DataMatrix, best_center, cell_stats
@@ -63,10 +61,12 @@ def _gini_split(points: np.ndarray, labels: np.ndarray, counts: np.ndarray):
     parent = m * (1.0 - float((p * p).sum()))
 
     def negative_decrease(cums, n_left):
-        # integer label counts: the sums of squares are exact in any order
+        # integer label counts, one label at a time: the sums of squares are exact in any order
         n_right = m - n_left
-        left = reduce(np.add, (c * c for c in cums))
-        right = reduce(np.add, ((t - c) * (t - c) for t, c in zip(total_counts[present], cums)))
+        left = right = 0
+        for t, c in zip(total_counts[present], cums):
+            left = left + c * c
+            right = right + (t - c) * (t - c)
         return -(parent - (n_left - left / n_left) - (n_right - right / n_right))
 
     # one boolean row per label in the cell, cumsummed as integer counts

@@ -22,24 +22,25 @@ products are formed center-major by `np.einsum`, one contiguous row per
 center, whose sums no BLAS thread count changes.
 One sort per feature plus an O(k) update per threshold gives
 O(d k n + d n log n) per scanned leaf. The scan runs center-major on
-blocks of 64 features and scores only the cuts a split can take, one at
-each boundary between two distinct values of a feature: each center's
-products are cumsummed in sorted order as one (block, n) array, read at
-those cuts, and the k centers are folded with an elementwise min. A
-feature of two distinct values thus costs one score, not n - 1. Each
-block is argsorted stably, so that ties keep input order.
+blocks of features sized by `core._BLOCK_FLOATS`, the row budget of the
+deviation passes, so a block holds about that many values whatever the
+cell's shape, and it scores only the cuts a split can take, one at each
+boundary between two distinct values of a feature: each center's products
+are cumsummed in sorted order as one (block, n) array, read at those
+cuts, and folded into an elementwise min over the centers one center at
+a time. A feature of two distinct values thus costs one score, not n - 1.
+Each block is argsorted stably, so that ties keep input order.
 That search, `prefix_scan`, is also the gini baseline's, on label counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from xkmeans.core import _REL_TOL, CenterSet, DataMatrix, _total, best_center, cell_stats
+from xkmeans.core import _BLOCK_FLOATS, _REL_TOL, CenterSet, DataMatrix, _total, best_center, cell_stats
 from xkmeans.tree import ThresholdTree, grow
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
     "scan_best_split",
     "expand",
 ]
-
-_BLOCK = 64  # features vectorized together in the scan
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -79,31 +77,37 @@ class ExpandResult:
 def prefix_scan(points: np.ndarray, rows: np.ndarray, score: Callable, tol: float):
     """Lowest-scoring threshold split of a cell, by prefix sums in sorted order.
 
-    Each 64-feature block of `points` (m, d) is copied feature-major,
-    sorted, and argsorted stably, so ties keep input order. Only the cuts
-    between distinct values are scored: the r per-point statistics `rows`
-    (r, m) are cumsummed in sorted order up to the block's last such cut,
-    and `score(cums, left)` maps the r prefix sums at the cuts, with `left`
-    points left of each cut, to each cut's score. The first cut, feature
-    by feature, within `tol` of the best of all wins, never one reached
-    through a chain of near-ties; each block keeps only its first cut and
-    the cuts below every earlier one, and the winner is always kept. A NaN
-    score (only from an overflowing cell) makes the scan's first cut win.
+    `points` (m, d) is scanned in blocks of `_BLOCK_FLOATS // m` features
+    (at least one), so the scan's working set stays a few blocks of that
+    many values. Each block is copied feature-major, sorted, and argsorted
+    stably, so ties keep input order. Only the cuts between distinct values
+    are scored: each of the r per-point statistics `rows` (r, m) is
+    cumsummed in sorted order up to the block's last such cut, and
+    `score(cums, left)` maps an iterator over those r prefix sums at the
+    cuts, one row at a time, with `left` points left of each cut, to each
+    cut's score. The first cut, feature by feature, within `tol` of the best
+    of all wins, never one reached through a chain of near-ties; each block
+    keeps only its first cut and the cuts below every earlier one, so the
+    winner is kept whatever the block width. A NaN score (only from an
+    overflowing cell) makes the scan's first cut win.
     Returns (score, feature, threshold), or None.
     """
+    m, d = points.shape
+    width = max(1, _BLOCK_FLOATS // m)
     found = []
-    for c0 in range(0, points.shape[1], _BLOCK):
-        blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
+    for c0 in range(0, d, width):
+        blk = np.ascontiguousarray(points[:, c0 : c0 + width].T)
         sv = np.sort(blk, axis=1)
         valid = sv[:, :-1] < sv[:, 1:]
         ends = np.flatnonzero(valid.any(axis=0))
         if ends.size == 0:
             continue
         last = ends[-1] + 1  # every cut of the block lies before sorted position `last`
-        at = np.flatnonzero(valid[:, :last])  # each cut's place in a (width, last) array, feature-major
+        cuts = valid[:, :last]
+        at = np.flatnonzero(cuts)  # each cut's place in a (width, last) array, feature-major
+        left = np.broadcast_to(np.arange(1.0, last + 1.0), cuts.shape)[cuts]
         order = np.argsort(blk, axis=1, kind="stable")[:, :last]
-        cums = [np.cumsum(row[order], axis=1).ravel()[at] for row in rows]
-        tot = score(cums, at % last + 1.0)
+        tot = score((np.cumsum(row[order], axis=1).ravel()[at] for row in rows), left)
         # the block's first cut, even at +inf, and each cut below every earlier one; a NaN is kept
         low = np.flatnonzero(np.concatenate(([True], ~(tot[1:] >= np.minimum.accumulate(tot[:-1])))))
         f, t = np.divmod(at[low], last)  # thresholds via the order: np.sort may swap a tie of -0.0 and 0.0
@@ -143,10 +147,12 @@ def scan_best_split(points, M: CenterSet, stats=None) -> tuple[float, int, float
     tol = _REL_TOL * max(1.0, abs(float(ss.sum()) + pre_score))
 
     def side_costs(cums, left):
-        # one array over the block's cuts per center, folded with np.minimum
+        # each center's row of prefix sums folded into both sides' np.minimum
         right = m - left
-        lbest = reduce(np.minimum, (-2.0 * c + m2[j] * left for j, c in enumerate(cums)))
-        rbest = reduce(np.minimum, (-2.0 * (s_tot[j] - c) + m2[j] * right for j, c in enumerate(cums)))
+        lbest = rbest = np.inf
+        for j, c in enumerate(cums):
+            lbest = np.minimum(lbest, -2.0 * c + m2[j] * left)
+            rbest = np.minimum(rbest, -2.0 * (s_tot[j] - c) + m2[j] * right)
         return lbest + rbest
 
     found = prefix_scan(points, P, side_costs, tol)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -20,7 +21,6 @@ from xkmeans.core import (
     surrogate_cost,
 )
 from xkmeans.exkmc import (
-    _BLOCK,
     _REL_TOL,
     _ClusterAggregates,
     expand,
@@ -543,8 +543,8 @@ def klast_best_split(points, M):
     counts = np.arange(1, m, dtype=np.float64)[:, None, None]
 
     found = []
-    for c0 in range(0, d, _BLOCK):
-        cols = np.arange(c0, min(c0 + _BLOCK, d))
+    for c0 in range(0, d, 64):  # any partition of the features gives the same answer
+        cols = np.arange(c0, min(c0 + 64, d))
         ord_blk = order[:, cols]
         sv = np.take_along_axis(points[:, cols], ord_blk, axis=0)
         valid = sv[:-1] < sv[1:]
@@ -650,8 +650,8 @@ def dense_prefix_scan(points, rows, score, tol):
     feature-major, within `tol` of the minimum wins (any, when it is NaN)."""
     left = np.arange(1, points.shape[0], dtype=np.float64)
     found = []
-    for c0 in range(0, points.shape[1], _BLOCK):
-        blk = np.ascontiguousarray(points[:, c0 : c0 + _BLOCK].T)
+    for c0 in range(0, points.shape[1], 64):  # any partition of the features gives the same answer
+        blk = np.ascontiguousarray(points[:, c0 : c0 + 64].T)
         order = np.argsort(blk, axis=1, kind="stable")
         sv = np.take_along_axis(blk, order, axis=1)
         valid = sv[:, :-1] < sv[:, 1:]
@@ -692,6 +692,16 @@ def scan_cell(kind, n, d, offset, rng):
     return pts
 
 
+# scan block widths: a few features, the old fixed 64, and the whole cell;
+# these cells are at most 40 rows, so the default budget is one block
+BLOCK_WIDTHS = [1, 2, 3, 64, 10**6]
+
+
+def blocks_of(width, n):
+    """Patch the scan's row budget so that an n-row cell scans `width` features a block."""
+    return mock.patch.object(exkmc, "_BLOCK_FLOATS", width * n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["grid", "binary", "signed_zero", "normal", "mixed"]),
@@ -700,15 +710,18 @@ def scan_cell(kind, n, d, offset, rng):
     st.integers(1, 4),
     st.sampled_from([0.0, 1e6]),
     st.integers(0, 10**6),
+    st.sampled_from(BLOCK_WIDTHS),
 )
-def test_scan_of_valid_cuts_matches_the_dense_scan(kind, d, n, k, offset, seed):
+def test_scan_of_valid_cuts_matches_the_dense_scan(kind, d, n, k, offset, seed, width):
     # scoring only the cuts between distinct values changes no bit of
-    # either builder's split, the sign of a zero threshold included
+    # either builder's split, the sign of a zero threshold included, at any
+    # block width
     rng = np.random.default_rng(seed)
     pts = scan_cell(kind, n, d, offset, rng)
     M = CenterSet(rng.normal(size=(k, d)) + offset)
     labels = rng.integers(0, k + 1, size=n)
-    got, want = both_scans(pts, M, labels, k + 1)
+    with blocks_of(width, n):
+        got, want = both_scans(pts, M, labels, k + 1)
     assert repr(got) == repr(want)
 
 
@@ -738,6 +751,27 @@ def test_scan_scores_exactly_the_distinct_value_boundaries():
         boundaries = [np.cumsum(np.unique(col, return_counts=True)[1])[:-1] for col in pts.T]
         assert np.concatenate(scored).tolist() == np.concatenate(boundaries).tolist()
         assert sum(s.size for s in scored) == per_feature * pts.shape[1]
+
+
+@pytest.mark.parametrize("n, d", [(8000, 64), (2000, 300)])
+def test_scan_working_set_stays_under_twice_the_cell(n, d):
+    # blocks sized by the row budget, with the prefix sums handed over one
+    # row at a time, keep the traced peak of either scan below twice the
+    # cell's own bytes, tall or wide
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(n, d))
+    M = CenterSet(rng.normal(size=(4, d)))
+    stats = cell_stats(pts)
+    labels = rng.integers(0, 4, size=n)
+    counts = np.bincount(labels, minlength=4)
+    for scan in (lambda: scan_best_split(pts, M, stats), lambda: _gini_split(pts, labels, counts)):
+        tracemalloc.start()
+        try:
+            assert scan() is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pts.nbytes
 
 
 def test_a_nan_score_takes_the_features_first_valid_cut():
@@ -785,11 +819,16 @@ def test_near_ties_do_not_chain_across_features():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(2, 12), st.integers(0, 10**6))
-def test_scan_takes_the_first_cut_within_tol_of_the_best(d, n, seed):
+@given(
+    st.sampled_from([1, 63, 64, 65, 130]),
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.sampled_from(BLOCK_WIDTHS),
+)
+def test_scan_takes_the_first_cut_within_tol_of_the_best(d, n, seed, width):
     # scores in steps of 0.6 at tol 1 chain near-ties within and across
     # features and blocks; the scan must match the first (feature, cut)
-    # within tol of the minimum, by brute force
+    # within tol of the minimum, by brute force, at any block width
     rng = np.random.default_rng(seed)
     pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
     cuts = [(float(v), j) for j in range(d) for v in np.unique(pts[:, j])[:-1]]
@@ -799,7 +838,8 @@ def test_scan_takes_the_first_cut_within_tol_of_the_best(d, n, seed):
     def score(cums, left):
         return np.array([next(handed) for _ in range(left.size)])
 
-    got = prefix_scan(pts, np.ones((1, n)), score, 1.0)
+    with blocks_of(width, n):
+        got = prefix_scan(pts, np.ones((1, n)), score, 1.0)
     if not cuts:
         assert got is None
         return

@@ -29,7 +29,7 @@ CASES = {
     "iris_deep": ["--data", IRIS, "--k", "3", "--leaves", "k,40,150"],
     "blobs_1d": ["--synth", "blobs", "--k", "3", "--d", "1", "--n", "300", "--leaves", "k,2k,4k"],
     "blobs_2d": ["--synth", "blobs", "--k", "4", "--d", "2", "--n", "300", "--leaves", "k,2k,4k"],
-    # wider than one 64-feature scan block, so every scan runs three blocks;
+    # 390 rows by 130 features: the root scan runs two blocks of 84 features;
     # its 4 build groups share 2 jobs. gini grows to 5 leaves, the others to 12
     "synthetic2_wide": [
         "--synth", "synthetic2", "--k", "3", "--d", "130", "--leaves", "k,4k", "--jobs", "2",
