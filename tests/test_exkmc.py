@@ -692,8 +692,8 @@ def scan_cell(kind, n, d, offset, rng):
     return pts
 
 
-# scan block widths: a few features, the old fixed 64, and the whole cell;
-# these cells are at most 40 rows, so the default budget is one block
+# scan block widths from one feature to the whole cell; these cells have at
+# most 40 rows, so at the default budget every scan would be one block
 BLOCK_WIDTHS = [1, 2, 3, 64, 10**6]
 
 
