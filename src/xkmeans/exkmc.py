@@ -22,13 +22,13 @@ products are formed center-major by `np.einsum`, one contiguous row per
 center, whose sums no BLAS thread count changes.
 One sort per feature plus an O(k) update per threshold gives
 O(d k n + d n log n) per scanned leaf. The scan runs center-major on
-blocks of features sized by `core._BLOCK_FLOATS`, the row budget of the
-deviation passes, so a block holds about that many values whatever the
-cell's shape, and it scores only the cuts a split can take, one at each
-boundary between two distinct values of a feature: each center's products
-are cumsummed in sorted order as one (block, n) array, read at those
-cuts, and folded into an elementwise min over the centers one center at
-a time. A feature of two distinct values thus costs one score, not n - 1.
+blocks of `core._BLOCK_FLOATS // n` features, as many values as a row block
+of the deviation passes, and scores only the cuts a split can take, one
+at each boundary between two distinct values of a feature: each center's
+products are cumsummed in sorted order as one (block, n) array, read at
+those cuts, and folded into the elementwise min over the centers one
+center at a time. A feature of two distinct values thus costs one score,
+not n - 1.
 Each block is argsorted stably, so that ties keep input order.
 That search, `prefix_scan`, is also the gini baseline's, on label counts.
 """
