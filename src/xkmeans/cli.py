@@ -3,8 +3,9 @@
 `run` fits one reference clustering per configuration, builds every
 requested method once at the largest leaf budget, reads each smaller
 budget's tree off that build as a prefix, and writes a results.csv plus a
-trace file per expansion budget and JSON/DOT exports per tree. `explain`
-prints the root-to-leaf decision path of a point through an exported tree.
+trace file per expansion budget and JSON/DOT exports per tree, as each
+method's build group finished them. `explain` prints the root-to-leaf
+decision path of a point through an exported tree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from xkmeans.baselines import build_gini_tree, build_kdtree
-from xkmeans.core import DataMatrix, accuracy, kmeans_cost, load_csv, surrogate_cost, thread_map
+from xkmeans.core import accuracy, kmeans_cost, load_csv, surrogate_cost, thread_map
 from xkmeans.exkmc import expand
 from xkmeans.imm import build_imm
 from xkmeans.kmeans import KMeansConfig, fit_reference
@@ -41,12 +42,14 @@ RESULT_COLUMNS = (
     "wall_time_ms",  # last: benchmarks/check.py drops it before digesting
 )
 _OVERFLOW = "a cost overflows float64; scale the data down"
-# the fields each data source reads (None: a csv file) with their defaults, and their flags
-_SOURCE_READS = {
-    None: {"columns": None},
-    "synthetic1": {},
-    "synthetic2": {"synth_d": 1024},
-    "blobs": {"synth_d": 1024, "synth_n": 500, "separation": 5.0},
+# each data source (None: a csv file): the fields it reads, with their defaults, and how its
+# data is made; the maker looks its function up on this module when called
+_SOURCES = {
+    None: ({"columns": None}, lambda c: load_csv(c.data, columns=c.columns)),
+    "synthetic1": ({}, lambda c: gen_synthetic_i(seed=c.seed)),
+    "synthetic2": ({"synth_d": 1024}, lambda c: gen_synthetic_ii(c.k, c.synth_d, seed=c.seed)[0]),
+    "blobs": ({"synth_d": 1024, "synth_n": 500, "separation": 5.0},
+              lambda c: gen_gaussian_blobs(c.k, c.synth_n, c.synth_d, c.separation, seed=c.seed)[0]),
 }
 _FLAGS = {"columns": "--columns", "synth_d": "--d", "synth_n": "--n", "separation": "--separation"}
 
@@ -74,9 +77,10 @@ class ExperimentConfig:
             raise ValueError("jobs must be at least 1")
         if (self.data is None) == (self.synth is None):
             raise ValueError("exactly one of a csv path or a synthetic spec is required")
-        if self.synth not in _SOURCE_READS:
-            raise ValueError(f"unknown synthetic dataset {self.synth!r}; choose synthetic1, synthetic2, or blobs")
-        reads = _SOURCE_READS[self.synth]
+        if self.synth not in _SOURCES:
+            names = ", ".join(filter(None, _SOURCES))
+            raise ValueError(f"unknown synthetic dataset {self.synth!r}; choose from {names}")
+        reads = _SOURCES[self.synth][0]
         for name, flag in _FLAGS.items():
             if getattr(self, name) is None:
                 setattr(self, name, reads.get(name))
@@ -116,50 +120,34 @@ def parse_budgets(text: str, k: int) -> list[int]:
     return budgets
 
 
-def _load_dataset(config: ExperimentConfig) -> DataMatrix:
-    if config.data is not None:
-        return load_csv(config.data, columns=config.columns)
-    name = config.synth
-    if name == "synthetic1":
-        return gen_synthetic_i(seed=config.seed)
-    if name == "synthetic2":
-        return gen_synthetic_ii(config.k, config.synth_d, seed=config.seed)[0]
-    # blobs, the last name the config accepts
-    X, _ = gen_gaussian_blobs(config.k, config.synth_n, config.synth_d, config.separation, seed=config.seed)
-    return X
+def _check_finite(*costs) -> None:
+    if not np.isfinite(costs).all():
+        raise ValueError(_OVERFLOW)
 
 
-def _score(X, tree, reference) -> tuple:
-    """A tree's results.csv values from kmeans_cost to leaves, over the cells
-    that routing X gives; the ratio is nan when the reference costs 0."""
+def _score(X, tree, reference) -> list:
+    """A tree's results.csv values from kmeans_cost to leaves, each float as its
+    repr, over the cells routing X gives; the ratio is nan at a 0-cost reference."""
     cells = tree.cells(X)
     assignment = tree.induced_assignment(X, cells)
     cost = kmeans_cost(X, assignment)
-    return (
-        cost,
-        surrogate_cost(X, list(cells.values()), reference.centers),
-        cost / reference.cost if reference.cost > 0 else float("nan"),
-        accuracy(reference.assignment, assignment),
-        tree.leaf_count,
-    )
-
-
-def _csv_row(method, k_prime, scores, wall_time_ms) -> list:
-    """One results.csv row; every column but method, k_prime and leaves is a float's repr."""
-    *floats, leaves = scores
-    return [method, k_prime, *(repr(float(v)) for v in floats), leaves, repr(float(wall_time_ms))]
+    surrogate = surrogate_cost(X, list(cells.values()), reference.centers)
+    _check_finite(cost, surrogate)
+    ratio = cost / reference.cost if reference.cost > 0 else float("nan")
+    floats = (cost, surrogate, ratio, accuracy(reference.assignment, assignment))
+    return [*(repr(float(v)) for v in floats), tree.leaf_count]
 
 
 def _build_group(X, reference, methods, budgets) -> dict:
-    """Build a group's methods at the largest budget and score each budget; a
-    tree whose JSON the group has scored keeps those scores. Returns
-    method -> (ms, trace, base leaves, [(tree, json, scores)])."""
+    """Build a group's methods at the largest budget, scoring each distinct tree
+    JSON once, and finish every budget's output: method -> [(results.csv row,
+    {file name: text})] in budget order."""
     started, imm_base = time.perf_counter(), None
     if any(m in _IMM_FAMILY for m in methods):
         imm_base = build_imm(X, reference.centers, reference.assignment)
     base_s = time.perf_counter() - started
 
-    built, scores = {}, {}  # scores by tree JSON: imm's tree is exkmc_imm's at k
+    built, scored = {}, {}  # formatted scores by tree JSON: imm's tree is exkmc_imm's at k
     for method in methods:
         # the shared base build is part of imm's and exkmc_imm's construction
         started = time.perf_counter() - (base_s if method in _IMM_FAMILY else 0.0)
@@ -171,22 +159,28 @@ def _build_group(X, reference, methods, budgets) -> dict:
             base_leaves = base.leaf_count
             result = expand(X, reference.centers, base, budgets[-1])
             full, trace = result.tree, result.trace
+            _check_finite(*(c for t in trace for c in (t.gain, t.surrogate_cost, t.kmeans_cost)))
         elif method == "kdtree":
             full = build_kdtree(X, reference.centers, budgets[-1])
         else:  # gini_tree
             full = build_gini_tree(X, reference.assignment, budgets[-1])
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        ms = repr((time.perf_counter() - started) * 1000.0)
+        steps = [json.dumps(vars(s)) + "\n" for s in trace or ()]  # each budget's trace is a prefix
 
-        scored = []
+        outputs = []
         for budget in budgets:
             # greedy growth is prefix-closed: the tree at a smaller budget is
             # the first splits of the largest build; imm has one k-leaf tree
             tree = full if method == "imm" else full.prefix(budget)
             text = tree.to_json()
-            if text not in scores:
-                scores[text] = _score(X, tree, reference)
-            scored.append((tree, text, scores[text]))
-        built[method] = (elapsed_ms, trace, base_leaves, scored)
+            if text not in scored:
+                scored[text] = _score(X, tree, reference)
+            stem = f"{method}_k{budget}"
+            files = {f"tree_{stem}.json": text + "\n", f"tree_{stem}.dot": tree.export_dot()}
+            if trace is not None:
+                files[f"trace_{stem}.jsonl"] = "".join(steps[: budget - base_leaves])
+            outputs.append(([method, budget, *scored[text], ms], files))
+        built[method] = outputs
     return built
 
 
@@ -195,42 +189,32 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     The reference fit's restarts, then the methods as independent groups (imm
     and exkmc_imm share the IMM base), run through `thread_map` on `jobs`; no
-    build starts a thread. Rows and files keep method order and their bytes. A
-    cost that overflows float64 raises before any file is written, and the
-    reference's before any build."""
+    build starts a thread. Each group returns its rows and file texts, which
+    are written in method order once every group has returned. A cost that
+    overflows float64 raises where it is made, so before any file is
+    written, and the reference's before any build."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    X = _load_dataset(config)
+    X = _SOURCES[config.synth][1](config)
     reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
-    if not np.isfinite(reference.cost):
-        raise ValueError(_OVERFLOW)
+    _check_finite(reference.cost)
 
     imm_group = [m for m in config.methods if m in _IMM_FAMILY]
     groups = [imm_group] * bool(imm_group) + [[m] for m in config.methods if m not in imm_group]
     built = thread_map(lambda g: _build_group(X, reference, g, config.budgets), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
-    costs = []
-    for _, trace, _, scored in by_method.values():
-        costs += [c for *_, scores in scored for c in scores[:2]]
-        costs += [c for t in trace or () for c in (t.gain, t.surrogate_cost, t.kmeans_cost)]
-    if not np.isfinite(costs).all():
-        raise ValueError(_OVERFLOW)
 
     results_path = out_dir / "results.csv"
     with results_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
-        writer.writerow(_csv_row("reference", config.k, (reference.cost, reference.cost, 1.0, 1.0, config.k), 0.0))
+        cost = repr(float(reference.cost))
+        writer.writerow(["reference", config.k, cost, cost, "1.0", "1.0", config.k, "0.0"])
         for method in config.methods:
-            elapsed_ms, trace, base_leaves, scored = by_method[method]
-            steps = [json.dumps(vars(s)) + "\n" for s in trace or ()]  # each budget's trace is a prefix
-            for budget, (tree, text, scores) in zip(config.budgets, scored):
-                writer.writerow(_csv_row(method, budget, scores, elapsed_ms))
-                stem = f"{method}_k{budget}"
-                (out_dir / f"tree_{stem}.json").write_text(text + "\n")
-                (out_dir / f"tree_{stem}.dot").write_text(tree.export_dot())
-                if trace is not None:
-                    (out_dir / f"trace_{stem}.jsonl").write_text("".join(steps[: budget - base_leaves]))
+            for row, files in by_method[method]:
+                writer.writerow(row)
+                for name, text in files.items():
+                    (out_dir / name).write_text(text)
     return results_path
 
 
@@ -252,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a benchmark configuration")
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="csv dataset path")
-    source.add_argument("--synth", choices=("synthetic1", "synthetic2", "blobs"))
+    source.add_argument("--synth", choices=[name for name in _SOURCES if name])
     run.add_argument("--columns", help="comma list of csv column indices to keep")
     run.add_argument("--k", type=int, required=True, help="number of clusters")
     run.add_argument("--leaves", default="k,2k,3k,4k", help="comma list of budgets; '3k' scales k")
