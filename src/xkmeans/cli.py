@@ -103,18 +103,22 @@ class ExperimentConfig:
             raise ValueError(f"budget {self.budgets[0]} is below the base tree's {self.k} leaves")
 
 
+def _token(flag: str, token: str, parse, kind: str):
+    """One token of a comma-list flag, parsed; a token `parse` rejects names the flag."""
+    token = token.strip()
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not {kind}") from None
+
+
 def parse_budgets(text: str, k: int) -> list[int]:
     """Comma list of leaf budgets; a token like '3k' means 3 * k."""
-    budgets = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token.endswith("k"):
-            factor = token[:-1] or "1"
-            budgets.append(int(factor) * k)
-        else:
-            budgets.append(int(token))
+    def budget(token):
+        return int(token[:-1] or "1") * k if token.lower().endswith("k") else int(token)
+
+    kind = "an integer or a multiple of k"
+    budgets = [_token("--leaves", t, budget, kind) for t in text.split(",") if t.strip()]
     if not budgets:
         raise ValueError("no leaf budgets given")
     return budgets
@@ -262,7 +266,9 @@ def main(argv=None) -> int:
             config = ExperimentConfig(
                 k=args.k,
                 data=args.data,
-                columns=None if args.columns is None else [int(c) for c in args.columns.split(",") if c.strip()],
+                columns=None if args.columns is None else [
+                    _token("--columns", c, int, "an integer") for c in args.columns.split(",") if c.strip()
+                ],
                 synth=args.synth,
                 synth_d=args.d,
                 synth_n=args.n,
@@ -276,7 +282,8 @@ def main(argv=None) -> int:
             with np.errstate(all="ignore"):  # the finite checks report an overflow, once
                 print(f"wrote {run_experiment(config)}")
             return 0
-        path, label = explain_point(args.tree, [float(v) for v in args.point.split(",")])
+        point = [_token("--point", v, float, "a number") for v in args.point.split(",")]
+        path, label = explain_point(args.tree, point)
         for feature, threshold, direction in path:
             comparison = "<=" if direction == "left" else ">"
             print(f"feature {feature} {comparison} {threshold!r}")

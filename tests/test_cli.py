@@ -347,7 +347,7 @@ def test_overflowing_costs_exit_1_before_any_output(tmp_path, capsys, monkeypatc
         # one line on stderr: no floating-point warning on any thread
         assert capsys.readouterr().err == "error: a cost overflows float64; scale the data down\n"
         assert [str(w.message) for w in caught] == []
-        assert not (out / "results.csv").exists()
+        assert list(out.iterdir()) == []  # no results.csv, tree or trace file
     assert bool(built) == builds
 
 
@@ -370,6 +370,27 @@ def test_bad_budgets_exit_code(tmp_path, capsys, leaves, jobs, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["run", "--data", str(IRIS), "--k", "3", "--leaves", "k,1.5k"],
+         "error: --leaves: '1.5k' is not an integer or a multiple of k\n"),
+        (["run", "--data", str(IRIS), "--k", "3", "--columns", "0, a"], "error: --columns: 'a' is not an integer\n"),
+        (["explain", "--tree", "tree.json", "--point", "1,x"], "error: --point: 'x' is not a number\n"),
+    ],
+    ids=["leaves", "columns", "point"],
+)
+def test_a_malformed_list_token_names_its_flag(tmp_path, capsys, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    tree = ThresholdTree()
+    tree.set_leaf_label(tree.root, 0)
+    (tmp_path / "tree.json").write_text(tree.to_json())
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "run" else []
+    assert main([*argv, *out]) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
 
 
 def test_leaves_column_reports_early_stop(tmp_path):
@@ -447,7 +468,7 @@ def test_error_inside_a_build_group_exits_1(tmp_path, monkeypatch, capsys):
     code = main(["run", "--data", str(IRIS), "--k", "3", "--leaves", "k,2k", "--jobs", "2", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == "error: kd build failed\n"
-    assert not (out / "results.csv").exists()
+    assert list(out.iterdir()) == []  # not even the other groups' files
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
