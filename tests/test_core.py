@@ -245,6 +245,29 @@ class TestDataValidation:
         with pytest.raises(ValueError):
             X.points[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Assignment([0.0, 1.5]), "labels must be integers"),
+            (lambda: Assignment([[0, 1]]), "labels must be one-dimensional"),
+            (lambda: CenterSet(np.empty((0, 2))), "need at least one center"),
+            (lambda: CenterSet([[0.0, np.nan]]), "centers contain NaN or Inf entries"),
+            (lambda: CenterSet([[np.inf, 0.0]]), "centers contain NaN or Inf entries"),
+            (lambda: DataMatrix([1.0, 2.0]), r"expected 2-d array, got shape \(2,\)"),
+            (lambda: CenterSet([1.0, 2.0]), r"expected 2-d array, got shape \(2,\)"),
+        ],
+        ids=["fractional_labels", "2d_labels", "no_center", "nan_center", "inf_center", "1d_points", "1d_centers"],
+    )
+    def test_containers_reject_malformed_input(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_integer_valued_float_labels_become_readonly_int64(self):
+        a = Assignment(np.array([2.0, 0.0, 1.0]))
+        assert a.labels.dtype == np.int64 and a.labels.tolist() == [2, 0, 1]
+        with pytest.raises(ValueError):
+            a.labels[0] = 5
+
 
 class TestLoadCsv:
     def test_with_header(self, tmp_path):
