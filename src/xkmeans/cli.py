@@ -41,7 +41,6 @@ RESULT_COLUMNS = (
     "leaves",
     "wall_time_ms",  # last: benchmarks/check.py drops it before digesting
 )
-_OVERFLOW = "a cost overflows float64; scale the data down"
 # each data source (None: a csv file): the fields it reads, with their defaults, and how its
 # data is made; the maker looks its function up on this module when called
 _SOURCES = {
@@ -126,7 +125,7 @@ def parse_budgets(text: str, k: int) -> list[int]:
 
 def _check_finite(*costs) -> None:
     if not np.isfinite(costs).all():
-        raise ValueError(_OVERFLOW)
+        raise ValueError("a cost overflows float64; scale the data down")
 
 
 def _score(X, tree, reference) -> list:
