@@ -3,9 +3,9 @@
 `run` fits one reference clustering per configuration, builds every
 requested method once at the largest leaf budget, reads each smaller
 budget's tree off that build as a prefix, and writes a results.csv plus a
-trace file per expansion budget and JSON/DOT exports per tree, as each
-method's build group finished them. `explain` prints the root-to-leaf
-decision path of a point through an exported tree.
+trace file per expansion budget and JSON/DOT exports per tree; its flags
+are `ExperimentConfig`'s fields, which hold the defaults. `explain` prints
+the root-to-leaf decision path of a point through an exported tree.
 """
 
 from __future__ import annotations
@@ -242,14 +242,17 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--synth", choices=[name for name in _SOURCES if name])
     run.add_argument("--columns", help="comma list of csv column indices to keep")
     run.add_argument("--k", type=int, required=True, help="number of clusters")
-    run.add_argument("--leaves", default="k,2k,3k,4k", help="comma list of budgets; '3k' scales k")
-    run.add_argument("--methods", default=",".join(METHODS), help="comma list of methods")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1, help="worker threads: k-means restarts, then method builds")
-    run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--d", type=int, help="dimensionality of synthetic2 and blobs (default 1024)")
-    run.add_argument("--n", type=int, help="blob dataset size (default 500)")
-    run.add_argument("--separation", type=float, help="blob center separation (default 5.0)")
+    run.add_argument("--leaves", dest="budgets", metavar="LEAVES", help="comma list of budgets; '3k' scales k")
+    run.add_argument("--methods", help="comma list of methods")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--jobs", type=int, help="worker threads: k-means restarts, then method builds")
+    run.add_argument("--out", help="output directory")
+    blobs = _SOURCES["blobs"][0]
+    run.add_argument("--d", dest="synth_d", metavar="D", type=int,
+                     help=f"dimensionality of synthetic2 and blobs (default {blobs['synth_d']})")
+    run.add_argument("--n", dest="synth_n", metavar="N", type=int,
+                     help=f"blob dataset size (default {blobs['synth_n']})")
+    run.add_argument("--separation", type=float, help=f"blob center separation (default {blobs['separation']})")
 
     explain = sub.add_parser("explain", help="explain one point's cluster assignment")
     explain.add_argument("--tree", required=True, help="tree json produced by run")
@@ -262,24 +265,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = ExperimentConfig(
-                k=args.k,
-                data=args.data,
-                columns=None if args.columns is None else [
-                    _token("--columns", c, int, "an integer") for c in args.columns.split(",") if c.strip()
-                ],
-                synth=args.synth,
-                synth_d=args.d,
-                synth_n=args.n,
-                separation=args.separation,
-                budgets=parse_budgets(args.leaves, args.k),
-                methods=[m.strip() for m in args.methods.split(",") if m.strip()],
-                out=args.out,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
+            given = {name: v for name, v in vars(args).items() if v is not None and name != "command"}
+            if args.columns is not None:
+                given["columns"] = [_token("--columns", c, int, "an integer")
+                                    for c in args.columns.split(",") if c.strip()]
+            if args.budgets is not None:
+                given["budgets"] = parse_budgets(args.budgets, args.k)
+            if args.methods is not None:
+                given["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
             with np.errstate(all="ignore"):  # the finite checks report an overflow, once
-                print(f"wrote {run_experiment(config)}")
+                print(f"wrote {run_experiment(ExperimentConfig(**given))}")
             return 0
         point = [_token("--point", v, float, "a number") for v in args.point.split(",")]
         path, label = explain_point(args.tree, point)
