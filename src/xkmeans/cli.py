@@ -192,12 +192,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     The reference fit's restarts, then the methods as independent groups (imm
     and exkmc_imm share the IMM base), run through `thread_map` on `jobs`; no
-    build starts a thread. Each group returns its rows and file texts, which
-    are written in method order once every group has returned. A cost that
-    overflows float64 raises where it is made, so before any file is
-    written, and the reference's before any build."""
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    build starts a thread. Each group returns its rows and file texts; once
+    every group has returned, `out` is made and they are written in method
+    order, so a failed run leaves no directory. A cost that overflows float64
+    raises where it is made, the reference's before any build."""
     X = _SOURCES[config.synth][1](config)
     reference = fit_reference(X, KMeansConfig(k=config.k, seed=config.seed), jobs=config.jobs)
     _check_finite(reference.cost)
@@ -207,6 +205,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     built = thread_map(lambda g: _build_group(X, reference, g, config.budgets), groups, config.jobs)
     by_method = {method: out for group in built for method, out in group.items()}
 
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     with results_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -179,6 +180,15 @@ class TestCliEntry:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["run", "--data", str(tmp_path / "absent.csv"), "--k", "2", "--out", str(tmp_path / "out")])
         assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_an_out_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert main(["run", "--data", str(IRIS), "--k", "3", "--leaves", "k", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "kept\n"
 
     def test_repeated_method_exits_1_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -299,7 +309,7 @@ def test_budget_below_base_leaves_fails_cleanly(tmp_path, capsys):
     code = main(["run", "--data", str(data), "--k", "3", "--leaves", "2,4", "--out", str(out)])
     assert code == 1
     assert "below the base tree" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("separation", ["nan", "inf", "1e308"])
@@ -347,7 +357,7 @@ def test_overflowing_costs_exit_1_before_any_output(tmp_path, capsys, monkeypatc
         # one line on stderr: no floating-point warning on any thread
         assert capsys.readouterr().err == "error: a cost overflows float64; scale the data down\n"
         assert [str(w.message) for w in caught] == []
-        assert list(out.iterdir()) == []  # no results.csv, tree or trace file
+        assert not out.exists()  # no results.csv, tree or trace file, nor the directory
     assert bool(built) == builds
 
 
@@ -391,6 +401,29 @@ def test_a_malformed_list_token_names_its_flag(tmp_path, capsys, monkeypatch, ar
     assert main([*argv, *out]) == 1
     assert capsys.readouterr().err == err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_flags_are_config_fields_and_keep_its_defaults(monkeypatch, capsys):
+    args = vars(cli._build_parser().parse_args(["run", "--data", str(IRIS), "--k", "3"]))
+    assert set(args) - {"command"} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: configs.append(config) or "results.csv")
+    assert main(["run", "--data", str(IRIS), "--k", "3"]) == 0
+    assert configs == [ExperimentConfig(k=3, data=str(IRIS))]
+
+
+def test_run_help_shows_the_metavars_and_the_sources_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # as one line, however argparse wraps it
+    assert "[--leaves LEAVES]" in text and "[--d D] [--n N]" in text
+    for line in (
+        "--leaves LEAVES comma list of budgets; '3k' scales k",
+        "--d D dimensionality of synthetic2 and blobs (default 1024)",
+        "--n N blob dataset size (default 500)",
+        "--separation SEPARATION blob center separation (default 5.0)",
+    ):
+        assert line in text
 
 
 def test_leaves_column_reports_early_stop(tmp_path):
@@ -468,7 +501,7 @@ def test_error_inside_a_build_group_exits_1(tmp_path, monkeypatch, capsys):
     code = main(["run", "--data", str(IRIS), "--k", "3", "--leaves", "k,2k", "--jobs", "2", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == "error: kd build failed\n"
-    assert list(out.iterdir()) == []  # not even the other groups' files
+    assert not out.exists()  # not even the other groups' files
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
