@@ -416,7 +416,6 @@ def test_run_help_shows_the_metavars_and_the_sources_defaults(capsys):
     with pytest.raises(SystemExit):
         cli._build_parser().parse_args(["run", "--help"])
     text = " ".join(capsys.readouterr().out.split())  # as one line, however argparse wraps it
-    assert "[--leaves LEAVES]" in text and "[--d D] [--n N]" in text
     for line in (
         "--leaves LEAVES comma list of budgets; '3k' scales k",
         "--d D dimensionality of synthetic2 and blobs (default 1024)",
